@@ -129,10 +129,7 @@ func BenchmarkAblationForkPrewarm(b *testing.B) {
 func BenchmarkAblationObjectCache(b *testing.B) {
 	for _, cacheSize := range []int{1, 256} {
 		b.Run(fmt.Sprintf("cache=%d", cacheSize), func(b *testing.B) {
-			w := workload.MustNewMachWorld(workload.ArchVAX8650, workload.Options{
-				MemoryMB:        16,
-				ObjectCacheSize: cacheSize,
-			})
+			w := machWorld(b, workload.ArchVAX8650, workload.WithMemoryMB(16), workload.WithObjectCache(cacheSize))
 			if _, err := w.FS.Create("hot", make([]byte, 256<<10)); err != nil {
 				b.Fatal(err)
 			}

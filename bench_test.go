@@ -31,6 +31,26 @@ import (
 // table71Archs are the machines of Table 7-1's zero-fill and fork rows.
 var table71Archs = []workload.Arch{workload.ArchRTPC, workload.ArchUVAX2, workload.ArchSun3}
 
+// machWorld and unixWorld boot one side of the comparison, failing the
+// benchmark on a construction error.
+func machWorld(tb testing.TB, a workload.Arch, opts ...workload.Option) *workload.MachWorld {
+	tb.Helper()
+	w, err := workload.BuildMachWorld(a, workload.NewConfig(opts...))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+func unixWorld(tb testing.TB, a workload.Arch, opts ...workload.Option) *workload.UnixWorld {
+	tb.Helper()
+	u, err := workload.BuildUnixWorld(a, workload.NewConfig(opts...))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return u
+}
+
 func reportVirtual(b *testing.B, totalVirtualNS int64, ops int) {
 	b.Helper()
 	b.ReportMetric(float64(totalVirtualNS)/float64(ops)/1e6, "vms/op")
@@ -39,7 +59,7 @@ func reportVirtual(b *testing.B, totalVirtualNS int64, ops int) {
 func BenchmarkTable71ZeroFill(b *testing.B) {
 	for _, arch := range table71Archs {
 		b.Run("Mach/"+arch.String(), func(b *testing.B) {
-			w := workload.MustNewMachWorld(arch, workload.Options{MemoryMB: 8})
+			w := machWorld(b, arch, workload.WithMemoryMB(8))
 			b.ResetTimer()
 			var virt int64
 			for i := 0; i < b.N; i++ {
@@ -52,7 +72,7 @@ func BenchmarkTable71ZeroFill(b *testing.B) {
 			reportVirtual(b, virt, b.N)
 		})
 		b.Run("UNIX/"+arch.String(), func(b *testing.B) {
-			u := workload.NewUnixWorld(arch, workload.Options{MemoryMB: 8})
+			u := unixWorld(b, arch, workload.WithMemoryMB(8))
 			b.ResetTimer()
 			var virt int64
 			for i := 0; i < b.N; i++ {
@@ -70,7 +90,7 @@ func BenchmarkTable71ZeroFill(b *testing.B) {
 func BenchmarkTable71Fork(b *testing.B) {
 	for _, arch := range table71Archs {
 		b.Run("Mach/"+arch.String(), func(b *testing.B) {
-			w := workload.MustNewMachWorld(arch, workload.Options{MemoryMB: 8})
+			w := machWorld(b, arch, workload.WithMemoryMB(8))
 			b.ResetTimer()
 			var virt int64
 			for i := 0; i < b.N; i++ {
@@ -83,7 +103,7 @@ func BenchmarkTable71Fork(b *testing.B) {
 			reportVirtual(b, virt, b.N)
 		})
 		b.Run("UNIX/"+arch.String(), func(b *testing.B) {
-			u := workload.NewUnixWorld(arch, workload.Options{MemoryMB: 8})
+			u := unixWorld(b, arch, workload.WithMemoryMB(8))
 			b.ResetTimer()
 			var virt int64
 			for i := 0; i < b.N; i++ {
@@ -102,7 +122,7 @@ func benchFileRead(b *testing.B, size int) {
 	b.Run("Mach/VAX 8200", func(b *testing.B) {
 		var first, second int64
 		for i := 0; i < b.N; i++ {
-			w := workload.MustNewMachWorld(workload.ArchVAX8200, workload.Options{MemoryMB: 16, DiskMB: 128})
+			w := machWorld(b, workload.ArchVAX8200, workload.WithMemoryMB(16), workload.WithDiskMB(128))
 			r, err := workload.MachFileRead(w, size)
 			if err != nil {
 				b.Fatal(err)
@@ -116,7 +136,7 @@ func benchFileRead(b *testing.B, size int) {
 	b.Run("UNIX/VAX 8200", func(b *testing.B) {
 		var first, second int64
 		for i := 0; i < b.N; i++ {
-			u := workload.NewUnixWorld(workload.ArchVAX8200, workload.Options{MemoryMB: 16, DiskMB: 128, NBufs: 400})
+			u := unixWorld(b, workload.ArchVAX8200, workload.WithMemoryMB(16), workload.WithDiskMB(128), workload.WithNBufs(400))
 			r, err := workload.UnixFileRead(u, size)
 			if err != nil {
 				b.Fatal(err)
@@ -136,7 +156,7 @@ func benchCompile(b *testing.B, arch workload.Arch, cfg workload.CompileConfig, 
 	b.Run(fmt.Sprintf("Mach/%s/%dbufs", arch, nbufs), func(b *testing.B) {
 		var virt int64
 		for i := 0; i < b.N; i++ {
-			w := workload.MustNewMachWorld(arch, workload.Options{MemoryMB: 16, DiskMB: 256})
+			w := machWorld(b, arch, workload.WithMemoryMB(16), workload.WithDiskMB(256))
 			v, err := workload.MachCompile(w, cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -148,7 +168,7 @@ func benchCompile(b *testing.B, arch workload.Arch, cfg workload.CompileConfig, 
 	b.Run(fmt.Sprintf("UNIX/%s/%dbufs", arch, nbufs), func(b *testing.B) {
 		var virt int64
 		for i := 0; i < b.N; i++ {
-			u := workload.NewUnixWorld(arch, workload.Options{MemoryMB: 16, DiskMB: 256, NBufs: nbufs})
+			u := unixWorld(b, arch, workload.WithMemoryMB(16), workload.WithDiskMB(256), workload.WithNBufs(nbufs))
 			v, err := workload.UnixCompile(u, cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -182,7 +202,7 @@ func BenchmarkTable72SunCompile(b *testing.B) {
 // sharing a page read/write alternate accesses; every access by the other
 // task evicts the single inverted-table mapping and refaults.
 func BenchmarkRTAliasFaults(b *testing.B) {
-	w := workload.MustNewMachWorld(workload.ArchRTPC, workload.Options{MemoryMB: 8, CPUs: 2})
+	w := machWorld(b, workload.ArchRTPC, workload.WithMemoryMB(8), workload.WithCPUs(2))
 	k := w.Kernel
 	parent := task.New(k, "a")
 	defer parent.Destroy()
@@ -225,7 +245,7 @@ func BenchmarkRTAliasFaults(b *testing.B) {
 func BenchmarkSun3ContextSteal(b *testing.B) {
 	for _, n := range []int{4, 8, 12, 16} {
 		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
-			w := workload.MustNewMachWorld(workload.ArchSun3, workload.Options{MemoryMB: 16})
+			w := machWorld(b, workload.ArchSun3, workload.WithMemoryMB(16))
 			k := w.Kernel
 			cpu := w.Machine.CPU(0)
 			mod := w.Mod.(*sun3.Module)
@@ -272,7 +292,7 @@ func BenchmarkSun3ContextSteal(b *testing.B) {
 func BenchmarkTLBShootdown(b *testing.B) {
 	for _, strat := range []pmap.Strategy{pmap.ShootImmediate, pmap.ShootDeferred, pmap.ShootLazy} {
 		b.Run(strat.String(), func(b *testing.B) {
-			w := workload.MustNewMachWorld(workload.ArchNS32082, workload.Options{MemoryMB: 16, CPUs: 4, Strategy: strat})
+			w := machWorld(b, workload.ArchNS32082, workload.WithMemoryMB(16), workload.WithCPUs(4), workload.WithStrategy(strat))
 			k := w.Kernel
 			tk := task.New(k, "shared")
 			defer tk.Destroy()
@@ -329,7 +349,7 @@ func BenchmarkHW(b *testing.B) {
 		}
 	})
 	b.Run("Fault", func(b *testing.B) {
-		w := workload.MustNewMachWorld(workload.ArchVAX8650, workload.Options{MemoryMB: 32})
+		w := machWorld(b, workload.ArchVAX8650, workload.WithMemoryMB(32))
 		k := w.Kernel
 		cpu := w.Machine.CPU(0)
 		m := k.NewMap()

@@ -8,9 +8,9 @@
 //	benchtables -table 7-2 # overall compilation performance
 //	benchtables -table mp  # §5 architecture experiments (not a paper table)
 //	benchtables -kernel    # include the (slow) full kernel-build rows
-//	benchtables -faultjson BENCH_faults.json  # fault-path perf baseline
-//	benchtables -serverjson                   # deterministic ServerWorld rows
-//	benchtables -slogate SLO.json             # SLO gate + fault/failover matrix
+//	benchtables -slogate SLO.json # SLO gate + fault/failover matrix
+//
+// Performance is measured by the repository's one benchmark, go run ./bench.
 package main
 
 import (
@@ -30,39 +30,16 @@ import (
 )
 
 var (
-	tableFlag      = flag.String("table", "all", "which table to regenerate: 7-1, 7-2, mp, all")
-	kernelFlag     = flag.Bool("kernel", false, "include the full kernel-build rows in table 7-2")
-	repsFlag       = flag.Int("reps", 20, "repetitions for micro-operations")
-	faultFlag      = flag.String("faultjson", "", "write the fault-path benchmark baseline to this file and exit")
-	scalingFlag    = flag.Bool("scaling", false, "print the virtual-clock scaling rows as JSON to stdout and exit")
-	serverJSONFlag = flag.Bool("serverjson", false, "print the deterministic ServerWorld rows as JSON to stdout and exit")
-	sloGateFlag    = flag.String("slogate", "", "gate the server world against this SLO thresholds file, run the fault/failover matrix, exit nonzero on failure")
+	tableFlag   = flag.String("table", "all", "which table to regenerate: 7-1, 7-2, mp, all")
+	kernelFlag  = flag.Bool("kernel", false, "include the full kernel-build rows in table 7-2")
+	repsFlag    = flag.Int("reps", 20, "repetitions for micro-operations")
+	sloGateFlag = flag.String("slogate", "", "gate the server world against this SLO thresholds file, run the fault/failover matrix, exit nonzero on failure")
 )
 
 func main() {
 	flag.Parse()
-	if *scalingFlag {
-		if err := writeScalingJSON(); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *serverJSONFlag {
-		if err := writeServerJSON(); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *sloGateFlag != "" {
-		if err := runSLOGate(*sloGateFlag); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *faultFlag != "" {
-		if err := writeFaultJSON(*faultFlag); err != nil {
-			log.Fatal(err)
-		}
+		check(runSLOGate(*sloGateFlag))
 		return
 	}
 	switch *tableFlag {
@@ -316,6 +293,28 @@ func tableMP() {
 			fmt.Printf("  %-10s %6d IPIs, %10.2fms virtual for %d rounds\n",
 				strat, w.Machine.IPIsSent()-ipis0, float64(w.Machine.Clock.Now()-t0)/1e6, rounds)
 			tk.Destroy()
+		}
+	}
+
+	// Virtual-clock speedup of a fixed zero-fill workload over simulated
+	// CPUs: speedup(N) = makespan(1 CPU) / makespan(N CPUs).
+	{
+		fmt.Printf("Virtual-clock zero-fill scaling (2048 faults split over N simulated CPUs; makespan = busiest CPU):\n")
+		for _, shared := range []bool{false, true} {
+			label := "private maps"
+			if shared {
+				label = "shared map"
+			}
+			var base int64
+			for _, n := range scalingSimCPUs {
+				makespan, err := measureVirtualScaling(n, shared)
+				check(err)
+				if n == 1 {
+					base = makespan
+				}
+				fmt.Printf("  %-12s %2d CPUs: %10d vns makespan, speedup %5.2fx\n",
+					label, n, makespan, float64(base)/float64(makespan))
+			}
 		}
 	}
 

@@ -81,7 +81,7 @@ func TestChargeBatchingInvariant(t *testing.T) {
 
 // TestVirtualClockDeterminism: the same serial workload run twice must
 // land on the byte-identical virtual total — the property the scaling
-// curves in BENCH_faults.json rely on.
+// curve of `benchtables -table mp` relies on.
 func TestVirtualClockDeterminism(t *testing.T) {
 	first := chargeWorkload(t, 4, false)
 	second := chargeWorkload(t, 4, false)

@@ -458,6 +458,9 @@ func TestStatisticsShape(t *testing.T) {
 	if st.PageSize != 4096 {
 		t.Fatalf("PageSize = %d", st.PageSize)
 	}
+	if snap := k.Stats().Snapshot(); st.StatsSnapshot != snap {
+		t.Fatalf("vm_statistics counters differ from Snapshot():\n%+v\n%+v", st.StatsSnapshot, snap)
+	}
 	if st.FreeCount+st.ActiveCount+st.InactiveCount+st.WireCount > k.TotalPages() {
 		t.Fatal("queue accounting exceeds physical memory")
 	}

@@ -80,9 +80,9 @@ func BenchmarkParallelFaultsSharedMap(b *testing.B) {
 	runSharedMapZeroFill(b)
 }
 
-// BenchmarkParallelZeroFill is the allocator-path benchmark tracked in
-// BENCH_faults.json (same workload as the shared-map fault benchmark, under
-// the name the baseline uses): every fault takes a page from the free
+// BenchmarkParallelZeroFill is the allocator-path benchmark CI's allocs
+// gate reads (same workload as the shared-map fault benchmark, under the
+// name the gate matches): every fault takes a page from the free
 // layer, so this is the benchmark that shows whether page allocation hits
 // the per-shard magazines or serializes on the depot lock.
 func BenchmarkParallelZeroFill(b *testing.B) {

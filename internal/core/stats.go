@@ -186,56 +186,16 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
-// Statistics is the snapshot returned by vm_statistics (Table 2-1).
+// Statistics is the snapshot returned by vm_statistics (Table 2-1): every
+// counter of StatsSnapshot plus the gauges only a kernel can read.
 type Statistics struct {
-	PageSize         uint64
-	FreeCount        int
-	ActiveCount      int
-	InactiveCount    int
-	WireCount        int
-	Faults           uint64
-	ZeroFillFaults   uint64
-	CowFaults        uint64
-	Pageins          uint64
-	Pageouts         uint64
-	Reactivations    uint64
-	ObjectCacheLen   int
-	ShadowsCreated   uint64
-	ShadowsCollapsed uint64
-	BusyWaits        uint64
-	AllocRaces       uint64
-	ShardRetries     uint64
-	PageoutSkips     uint64
-	PageoutWakes     uint64
-	PageoutScanJoins uint64
-	MagazineHits     uint64
-	DepotRefills     uint64
-	DepotDrains      uint64
-	MagazineSteals   uint64
-	MapHintHits      uint64
-	MapHintMisses    uint64
-	FaultRetries     uint64
-	PagerTimeouts    uint64
-	PagerRetries     uint64
-	PagerErrors      uint64
-	PagerFallbacks   uint64
-	PagerFlightJoins uint64
-	PagerAbandons    uint64
-	PagerRoundTrips  uint64
-	ClusterExtras    uint64
-	PageoutRuns      uint64
-	PageoutRunPages  uint64
-	SpanPromotions   uint64
-
-	ZtierHits            uint64
-	ZtierMisses          uint64
-	ZtierStoredBytes     uint64
-	ZtierCompressedBytes uint64
-	ZtierEvictions       uint64
-	ZtierBypasses        uint64
-	TierPromotions       uint64
-	TierDemotions        uint64
-	SwapZeroPages        uint64
+	StatsSnapshot
+	PageSize       uint64
+	FreeCount      int
+	ActiveCount    int
+	InactiveCount  int
+	WireCount      int
+	ObjectCacheLen int
 }
 
 // VMStatistics implements vm_statistics: statistics about the use of
@@ -247,56 +207,13 @@ func (k *Kernel) VMStatistics() Statistics {
 			wired++
 		}
 	}
-	snap := k.stats.Snapshot()
 	return Statistics{
-		PageSize:      k.pageSize,
-		FreeCount:     k.FreeCount(),
-		ActiveCount:   k.ActiveCount(),
-		InactiveCount: k.InactiveCount(),
-		WireCount:     wired,
-
-		Faults:           snap.Faults,
-		ZeroFillFaults:   snap.ZeroFillFaults,
-		CowFaults:        snap.CowFaults,
-		Pageins:          snap.Pageins,
-		Pageouts:         snap.Pageouts,
-		Reactivations:    snap.ReactivateHits,
-		ObjectCacheLen:   k.CachedObjects(),
-		ShadowsCreated:   snap.ShadowsCreated,
-		ShadowsCollapsed: snap.ShadowsCollapsed,
-		BusyWaits:        snap.BusyWaits,
-		AllocRaces:       snap.AllocRaces,
-		ShardRetries:     snap.ShardRetries,
-		PageoutSkips:     snap.PageoutSkips,
-		PageoutWakes:     snap.PageoutWakes,
-		PageoutScanJoins: snap.PageoutScanJoins,
-		MagazineHits:     snap.MagazineHits,
-		DepotRefills:     snap.DepotRefills,
-		DepotDrains:      snap.DepotDrains,
-		MagazineSteals:   snap.MagazineSteals,
-		MapHintHits:      snap.MapHintHits,
-		MapHintMisses:    snap.MapHintMisses,
-		FaultRetries:     snap.FaultRetries,
-		PagerTimeouts:    snap.PagerTimeouts,
-		PagerRetries:     snap.PagerRetries,
-		PagerErrors:      snap.PagerErrors,
-		PagerFallbacks:   snap.PagerFallbacks,
-		PagerFlightJoins: snap.PagerFlightJoins,
-		PagerAbandons:    snap.PagerAbandons,
-		PagerRoundTrips:  snap.PagerRoundTrips,
-		ClusterExtras:    snap.ClusterExtras,
-		PageoutRuns:      snap.PageoutRuns,
-		PageoutRunPages:  snap.PageoutRunPages,
-		SpanPromotions:   snap.SpanPromotions,
-
-		ZtierHits:            snap.ZtierHits,
-		ZtierMisses:          snap.ZtierMisses,
-		ZtierStoredBytes:     snap.ZtierStoredBytes,
-		ZtierCompressedBytes: snap.ZtierCompressedBytes,
-		ZtierEvictions:       snap.ZtierEvictions,
-		ZtierBypasses:        snap.ZtierBypasses,
-		TierPromotions:       snap.TierPromotions,
-		TierDemotions:        snap.TierDemotions,
-		SwapZeroPages:        snap.SwapZeroPages,
+		StatsSnapshot:  k.stats.Snapshot(),
+		PageSize:       k.pageSize,
+		FreeCount:      k.FreeCount(),
+		ActiveCount:    k.ActiveCount(),
+		InactiveCount:  k.InactiveCount(),
+		WireCount:      wired,
+		ObjectCacheLen: k.CachedObjects(),
 	}
 }

@@ -9,6 +9,8 @@ package pager
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -136,17 +138,31 @@ func (ip *InodePager) Traffic() (reads, writes uint64) {
 // SwapPager is the default pager built on filesystem swap files: internal
 // memory paged out lands in per-object swap files on the 4.3bsd
 // filesystem, eliminating the need for separate paging partitions.
+//
+// A swap file is sparse — a later page can be written before an earlier
+// one — so the pager records which byte ranges it actually received and
+// answers only for those: a never-written page must fall through the
+// shadow chain, not read back as the zeroes of a hole.
 type SwapPager struct {
 	fs *unixfs.FS
 
 	mu    sync.Mutex
-	files map[*core.Object]*unixfs.Inode
+	files map[*core.Object]*swapFile
 	seq   uint64
 }
 
+// swapFile is one object's swap file and the ranges written to it.
+type swapFile struct {
+	ino     *unixfs.Inode
+	written []extent // sorted, disjoint, non-adjacent
+}
+
+// extent is a written byte range [lo, hi) of a swap file.
+type extent struct{ lo, hi uint64 }
+
 // NewSwapPager creates the default pager over the filesystem.
 func NewSwapPager(fs *unixfs.FS) *SwapPager {
-	return &SwapPager{fs: fs, files: make(map[*core.Object]*unixfs.Inode)}
+	return &SwapPager{fs: fs, files: make(map[*core.Object]*swapFile)}
 }
 
 // Name implements core.Pager.
@@ -155,33 +171,29 @@ func (sp *SwapPager) Name() string { return "default-inode-pager" }
 // Init implements core.Pager.
 func (sp *SwapPager) Init(obj *core.Object) {}
 
-func (sp *SwapPager) fileFor(obj *core.Object, create bool) *unixfs.Inode {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	ino := sp.files[obj]
-	if ino == nil && create {
-		sp.seq++
-		var err error
-		ino, err = sp.fs.Create(fmt.Sprintf(".swap/%d", sp.seq), nil)
-		if err != nil {
-			return nil
-		}
-		sp.files[obj] = ino
-	}
-	return ino
-}
-
 // DataRequest implements core.Pager: read back previously paged-out data.
+// The reply covers the written run that starts at offset and stops at the
+// first gap (a short read the kernel resolves page by page);
+// ErrDataUnavailable when offset itself was never written.
 func (sp *SwapPager) DataRequest(ctx context.Context, obj *core.Object, offset uint64, length int) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ino := sp.fileFor(obj, false)
-	if ino == nil || offset >= ino.Size() {
+	sp.mu.Lock()
+	f := sp.files[obj]
+	var end uint64
+	if f != nil {
+		i := sort.Search(len(f.written), func(i int) bool { return f.written[i].hi > offset })
+		if i < len(f.written) && f.written[i].lo <= offset {
+			end = f.written[i].hi
+		}
+	}
+	sp.mu.Unlock()
+	if end == 0 {
 		return nil, core.ErrDataUnavailable
 	}
-	buf := make([]byte, length)
-	if n, err := ino.ReadAt(buf, offset); err != nil || n == 0 {
+	buf := make([]byte, min(uint64(length), end-offset))
+	if n, err := f.ino.ReadAt(buf, offset); err != nil || n == 0 {
 		return nil, core.ErrDataUnavailable
 	}
 	return buf, nil
@@ -192,20 +204,43 @@ func (sp *SwapPager) DataWrite(ctx context.Context, obj *core.Object, offset uin
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	ino := sp.fileFor(obj, true)
-	if ino == nil {
-		return fmt.Errorf("swap-pager: cannot create swap file for object %q", obj.Name())
+	sp.mu.Lock()
+	f := sp.files[obj]
+	if f == nil {
+		sp.seq++
+		ino, err := sp.fs.Create(fmt.Sprintf(".swap/%d", sp.seq), nil)
+		if err != nil {
+			sp.mu.Unlock()
+			return fmt.Errorf("swap-pager: cannot create swap file for object %q: %w", obj.Name(), err)
+		}
+		f = &swapFile{ino: ino}
+		sp.files[obj] = f
 	}
-	return ino.WriteAt(data, offset)
+	sp.mu.Unlock()
+	if err := f.ino.WriteAt(data, offset); err != nil {
+		return err
+	}
+	// Merge [offset, offset+len) into the written set once the bytes are
+	// in the file, absorbing every extent it overlaps or touches.
+	lo, hi := offset, offset+uint64(len(data))
+	sp.mu.Lock()
+	i := sort.Search(len(f.written), func(i int) bool { return f.written[i].hi >= lo })
+	j := i
+	for ; j < len(f.written) && f.written[j].lo <= hi; j++ {
+		lo, hi = min(lo, f.written[j].lo), max(hi, f.written[j].hi)
+	}
+	f.written = slices.Replace(f.written, i, j, extent{lo, hi})
+	sp.mu.Unlock()
+	return nil
 }
 
 // Terminate implements core.Pager: release the swap file.
 func (sp *SwapPager) Terminate(obj *core.Object) {
 	sp.mu.Lock()
-	ino := sp.files[obj]
+	f := sp.files[obj]
 	delete(sp.files, obj)
 	sp.mu.Unlock()
-	if ino != nil {
-		_ = sp.fs.Remove(ino.Name())
+	if f != nil {
+		_ = sp.fs.Remove(f.ino.Name())
 	}
 }

@@ -8,8 +8,12 @@ import (
 	"time"
 
 	"machvm/internal/core"
+	"machvm/internal/hw"
 	"machvm/internal/ipc"
 	"machvm/internal/pager"
+	"machvm/internal/pmap"
+	"machvm/internal/pmap/vax"
+	"machvm/internal/unixfs"
 	"machvm/internal/vmtypes"
 )
 
@@ -32,14 +36,17 @@ func TestSwapPagerRoundTrip(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("swap round trip failed: %v", err)
 	}
-	// Other offsets are either unavailable or sparse zeros (the swap
-	// file grew past them); both make the kernel produce a zero page.
-	if d, err := sp.DataRequest(ctx, obj, 0, 4096); err == nil {
-		for _, b := range d {
-			if b != 0 {
-				t.Fatal("unwritten swap offset returned non-zero data")
-			}
-		}
+	// The swap file grew past offsets 0 and 4096 without receiving them:
+	// they are unavailable, not a hole's worth of zeroes.
+	if d, err := sp.DataRequest(ctx, obj, 0, 4096); !errors.Is(err, core.ErrDataUnavailable) {
+		t.Fatalf("never-written swap offset should be unavailable, got %d bytes, %v", len(d), err)
+	}
+	// A clustered request returns the written prefix and stops at the gap.
+	if err := sp.DataWrite(ctx, obj, 0, data); err != nil {
+		t.Fatalf("DataWrite: %v", err)
+	}
+	if d, err := sp.DataRequest(ctx, obj, 0, 4*4096); err != nil || len(d) != 4096 {
+		t.Fatalf("clustered request across a gap: got %d bytes, %v; want the 4096 written", len(d), err)
 	}
 	// Terminate releases the swap file.
 	sp.Terminate(obj)
@@ -48,6 +55,67 @@ func TestSwapPagerRoundTrip(t *testing.T) {
 	}
 	if sp.Name() == "" {
 		t.Fatal("pager needs a name")
+	}
+}
+
+// TestSwapPagerHoleFallsThroughShadowChain: a shadow object that has paged
+// out only its page 1 must not answer for page 0, or the zeroes of the swap
+// file's hole hide the data the backing object holds.
+func TestSwapPagerHoleFallsThroughShadowChain(t *testing.T) {
+	machine := hw.NewMachine(hw.Config{
+		Cost:       vax.DefaultCost(),
+		HWPageSize: vax.HWPageSize,
+		PhysFrames: 4096,
+		CPUs:       1,
+		TLBSize:    64,
+	})
+	k := core.MustNewKernel(core.Config{
+		Machine:    machine,
+		Module:     vax.New(machine, pmap.ShootImmediate),
+		PageSize:   4096,
+		FreeTarget: 4096, // more than exists: the scan evicts everything
+		FreeMin:    2,
+	})
+	k.SetSwapPager(pager.NewSwapPager(unixfs.NewFS(unixfs.NewDisk(machine, 8192))))
+	cpu := machine.CPU(0)
+
+	parent := k.NewMap()
+	defer parent.Destroy()
+	parent.Pmap().Activate(cpu)
+	addr, err := parent.Allocate(0, 2*4096, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{0xAB}, 4096)
+	if err := k.AccessBytes(cpu, parent, addr, want, true); err != nil {
+		t.Fatal(err)
+	}
+	child := parent.Fork()
+	defer child.Destroy()
+	child.Pmap().Activate(cpu)
+	if err := k.AccessBytes(cpu, child, addr+4096, []byte{1}, true); err != nil {
+		t.Fatal(err)
+	}
+	// A scan evicts the oldest third of the resident pages: six younger
+	// filler pages make that the two pages written above.
+	filler, err := child.Allocate(0, 6*4096, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.AccessBytes(cpu, child, filler, make([]byte, 6*4096), true); err != nil {
+		t.Fatal(err)
+	}
+	k.PageoutScan()
+	pageins := k.Stats().Pageins.Load()
+	got := make([]byte, 4096)
+	if err := k.AccessBytes(cpu, child, addr, got, false); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("child read %#x... for the inherited page, want %#x...", got[:4], want[:4])
+	}
+	if k.Stats().Pageins.Load() == pageins {
+		t.Fatal("the inherited page was still resident: the read never reached the pager")
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // recordWorld boots a world, runs fn under tracing, and returns the trace.
-func recordWorld(t *testing.T, arch workload.Arch, opts workload.Options, fn func(w *workload.MachWorld)) *trace.Trace {
+func recordWorld(t *testing.T, arch workload.Arch, cfg workload.Config, fn func(w *workload.MachWorld)) *trace.Trace {
 	t.Helper()
-	w, err := workload.NewMachWorld(arch, opts)
+	w, err := workload.BuildMachWorld(arch, cfg)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
@@ -46,7 +46,7 @@ func replayAndCheck(t *testing.T, tr *trace.Trace) {
 }
 
 func TestGoldenReplayTable71(t *testing.T) {
-	tr := recordWorld(t, workload.ArchUVAX2, workload.Options{MemoryMB: 8, CPUs: 2, DiskMB: 16}, func(w *workload.MachWorld) {
+	tr := recordWorld(t, workload.ArchUVAX2, workload.NewConfig(workload.WithMemoryMB(8), workload.WithCPUs(2), workload.WithDiskMB(16)), func(w *workload.MachWorld) {
 		if _, err := workload.MachZeroFill(w, 256<<10, 2); err != nil {
 			t.Fatalf("zerofill: %v", err)
 		}
@@ -64,7 +64,7 @@ func TestGoldenReplayTable71(t *testing.T) {
 }
 
 func TestGoldenReplayCompileWorld(t *testing.T) {
-	tr := recordWorld(t, workload.ArchSun3, workload.Options{MemoryMB: 8, CPUs: 1, DiskMB: 32}, func(w *workload.MachWorld) {
+	tr := recordWorld(t, workload.ArchSun3, workload.NewConfig(workload.WithMemoryMB(8), workload.WithCPUs(1), workload.WithDiskMB(32)), func(w *workload.MachWorld) {
 		if _, err := workload.MachCompile(w, workload.ForkTestProgram()); err != nil {
 			t.Fatalf("compile: %v", err)
 		}
@@ -78,7 +78,7 @@ func TestGoldenReplayCompileWorld(t *testing.T) {
 // TestReplayMemoryPressure records a run small enough to force pageouts, so
 // the replay check covers reclaim ordering and pager write-back timing.
 func TestReplayMemoryPressure(t *testing.T) {
-	tr := recordWorld(t, workload.ArchUVAX2, workload.Options{MemoryMB: 2, CPUs: 1, DiskMB: 16}, func(w *workload.MachWorld) {
+	tr := recordWorld(t, workload.ArchUVAX2, workload.NewConfig(workload.WithMemoryMB(2), workload.WithCPUs(1), workload.WithDiskMB(16)), func(w *workload.MachWorld) {
 		if _, err := workload.MachZeroFill(w, 4<<20, 2); err != nil {
 			t.Fatalf("zerofill: %v", err)
 		}
@@ -101,7 +101,7 @@ func TestReplayMemoryPressure(t *testing.T) {
 // worlds running the same workload must produce bit-identical traces.
 func TestRecordTwiceIdentical(t *testing.T) {
 	run := func() *trace.Trace {
-		return recordWorld(t, workload.ArchUVAX2, workload.Options{MemoryMB: 4, CPUs: 2, DiskMB: 16}, func(w *workload.MachWorld) {
+		return recordWorld(t, workload.ArchUVAX2, workload.NewConfig(workload.WithMemoryMB(4), workload.WithCPUs(2), workload.WithDiskMB(16)), func(w *workload.MachWorld) {
 			if _, err := workload.MachZeroFill(w, 512<<10, 2); err != nil {
 				t.Fatalf("zerofill: %v", err)
 			}

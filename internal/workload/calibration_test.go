@@ -19,8 +19,8 @@ func TestCalibrationPrint(t *testing.T) {
 		forkUnix int64
 	}
 	for _, a := range []workload.Arch{workload.ArchRTPC, workload.ArchUVAX2, workload.ArchSun3} {
-		mw := workload.MustNewMachWorld(a, workload.Options{MemoryMB: 8})
-		uw := workload.NewUnixWorld(a, workload.Options{MemoryMB: 8})
+		mw := machWorld(t, a, workload.WithMemoryMB(8))
+		uw := unixWorld(t, a, workload.WithMemoryMB(8))
 
 		zfM, err := workload.MachZeroFill(mw, 1024, 50)
 		if err != nil {
@@ -49,8 +49,8 @@ func TestCalibrationPrint(t *testing.T) {
 	}
 
 	// File reads on the VAX 8200.
-	mw := workload.MustNewMachWorld(workload.ArchVAX8200, workload.Options{MemoryMB: 16})
-	uw := workload.NewUnixWorld(workload.ArchVAX8200, workload.Options{MemoryMB: 16, NBufs: 400})
+	mw := machWorld(t, workload.ArchVAX8200, workload.WithMemoryMB(16))
+	uw := unixWorld(t, workload.ArchVAX8200, workload.WithMemoryMB(16), workload.WithNBufs(400))
 	big := 2500 * 1024
 	small := 50 * 1024
 	mBig, err := workload.MachFileRead(mw, big)

@@ -16,8 +16,8 @@ func TestCompileWorkloadShape(t *testing.T) {
 	cfg := workload.ThirteenPrograms()
 
 	run := func(nbufs int) (mach, unix int64) {
-		mw := workload.MustNewMachWorld(workload.ArchVAX8650, workload.Options{MemoryMB: 16, DiskMB: 128})
-		uw := workload.NewUnixWorld(workload.ArchVAX8650, workload.Options{MemoryMB: 16, DiskMB: 128, NBufs: nbufs})
+		mw := machWorld(t, workload.ArchVAX8650, workload.WithMemoryMB(16), workload.WithDiskMB(128))
+		uw := unixWorld(t, workload.ArchVAX8650, workload.WithMemoryMB(16), workload.WithDiskMB(128), workload.WithNBufs(nbufs))
 		m, err := workload.MachCompile(mw, cfg)
 		if err != nil {
 			t.Fatalf("MachCompile: %v", err)
@@ -55,8 +55,8 @@ func TestCompileWorkloadShape(t *testing.T) {
 
 func TestSunCompileShape(t *testing.T) {
 	cfg := workload.ForkTestProgram()
-	mw := workload.MustNewMachWorld(workload.ArchSun3, workload.Options{MemoryMB: 16})
-	uw := workload.NewUnixWorld(workload.ArchSun3, workload.Options{MemoryMB: 16})
+	mw := machWorld(t, workload.ArchSun3, workload.WithMemoryMB(16))
+	uw := unixWorld(t, workload.ArchSun3, workload.WithMemoryMB(16))
 	m, err := workload.MachCompile(mw, cfg)
 	if err != nil {
 		t.Fatal(err)

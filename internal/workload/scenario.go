@@ -4,9 +4,8 @@ package workload
 // describes an experiment independent of the machine it runs on;
 // Build(arch) boots the world (reporting construction errors instead of
 // panicking) and returns a World that can Run under a context and render
-// a typed Report. Functional options replace the flat Options struct and
-// are the only place fault injection, tiered paging and multi-tenancy
-// compose with world construction.
+// a typed Report. Functional options are the only place fault injection,
+// tiered paging and multi-tenancy compose with world construction.
 
 import (
 	"context"
@@ -228,8 +227,7 @@ func BuildMachWorld(a Arch, cfg Config) (*MachWorld, error) {
 }
 
 // BuildUnixWorld boots the traditional comparison system on identical
-// hardware, with an error path (the fix for NewUnixWorld's bare-pointer
-// signature).
+// hardware.
 func BuildUnixWorld(a Arch, cfg Config) (*UnixWorld, error) {
 	spec, err := specForErr(a)
 	if err != nil {

@@ -135,54 +135,6 @@ func SpecFor(a Arch) Spec {
 	}
 }
 
-// Options tune a world.
-//
-// Deprecated: use NewConfig with functional options (WithMemoryMB,
-// WithPagerPolicy, ...) and BuildMachWorld/BuildUnixWorld, or a Scenario.
-type Options struct {
-	// MemoryMB is physical memory size (default 8; the NS32082 caps at
-	// its 32MB hardware limit regardless).
-	MemoryMB int
-	// CPUs is the processor count (default 1).
-	CPUs int
-	// DiskMB sizes the simulated disk (default 64).
-	DiskMB int
-	// NBufs is the baseline buffer-cache size (default 400, the paper's
-	// explicitly limited configuration).
-	NBufs int
-	// Strategy selects TLB consistency (default immediate).
-	Strategy pmap.Strategy
-	// ObjectCacheSize bounds Mach's object cache (default: generous).
-	ObjectCacheSize int
-	// Pager bounds every kernel→pager conversation; the zero value
-	// selects core.DefaultPagerPolicy.
-	Pager core.PagerPolicy
-}
-
-// toConfig maps legacy Options onto the scenario Config, applying the
-// same defaults NewConfig does.
-func (o Options) toConfig() Config {
-	cfg := NewConfig()
-	if o.MemoryMB != 0 {
-		cfg.MemoryMB = o.MemoryMB
-	}
-	if o.CPUs != 0 {
-		cfg.CPUs = o.CPUs
-	}
-	if o.DiskMB != 0 {
-		cfg.DiskMB = o.DiskMB
-	}
-	if o.NBufs != 0 {
-		cfg.NBufs = o.NBufs
-	}
-	if o.ObjectCacheSize != 0 {
-		cfg.ObjectCacheSize = o.ObjectCacheSize
-	}
-	cfg.Strategy = o.Strategy
-	cfg.Pager = o.Pager
-	return cfg
-}
-
 // MachWorld is a booted Mach stack.
 type MachWorld struct {
 	Spec    Spec
@@ -210,24 +162,6 @@ func (w *MachWorld) Close() {
 	if w.tier != nil {
 		w.tier.Close()
 	}
-}
-
-// NewMachWorld boots Mach on the architecture.
-//
-// Deprecated: use BuildMachWorld with NewConfig, or a Scenario.
-func NewMachWorld(a Arch, opts Options) (*MachWorld, error) {
-	return BuildMachWorld(a, opts.toConfig())
-}
-
-// MustNewMachWorld is NewMachWorld, panicking on error (tests, examples).
-//
-// Deprecated: use BuildMachWorld with NewConfig, or a Scenario.
-func MustNewMachWorld(a Arch, opts Options) *MachWorld {
-	w, err := NewMachWorld(a, opts)
-	if err != nil {
-		panic(err)
-	}
-	return w
 }
 
 // FileObject returns the (cached) memory object for a file, reviving it
@@ -387,18 +321,4 @@ type UnixWorld struct {
 	Mod     pmap.Module
 	Sys     *baseline.System
 	FS      *unixfs.FS
-}
-
-// NewUnixWorld boots the traditional comparison system on identical
-// hardware, panicking on a bad architecture (the historical signature
-// has no error return).
-//
-// Deprecated: use BuildUnixWorld with NewConfig, or a Scenario — those
-// report construction errors instead of panicking.
-func NewUnixWorld(a Arch, opts Options) *UnixWorld {
-	u, err := BuildUnixWorld(a, opts.toConfig())
-	if err != nil {
-		panic(err)
-	}
-	return u
 }

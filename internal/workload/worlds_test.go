@@ -7,6 +7,26 @@ import (
 	"machvm/internal/workload"
 )
 
+// machWorld and unixWorld boot one side of the comparison, failing the
+// test on a construction error.
+func machWorld(tb testing.TB, a workload.Arch, opts ...workload.Option) *workload.MachWorld {
+	tb.Helper()
+	w, err := workload.BuildMachWorld(a, workload.NewConfig(opts...))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+func unixWorld(tb testing.TB, a workload.Arch, opts ...workload.Option) *workload.UnixWorld {
+	tb.Helper()
+	u, err := workload.BuildUnixWorld(a, workload.NewConfig(opts...))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return u
+}
+
 func TestSpecForAllArchitectures(t *testing.T) {
 	archs := []workload.Arch{
 		workload.ArchUVAX2, workload.ArchVAX8200, workload.ArchVAX8650,
@@ -33,11 +53,11 @@ func TestMachWorldBootsEveryArch(t *testing.T) {
 		workload.ArchUVAX2, workload.ArchRTPC, workload.ArchSun3,
 		workload.ArchNS32082, workload.ArchTLBOnly,
 	} {
-		w := workload.MustNewMachWorld(a, workload.Options{MemoryMB: 4})
+		w := machWorld(t, a, workload.WithMemoryMB(4))
 		if w.Kernel.TotalPages() == 0 {
 			t.Fatalf("%v: no usable pages", a)
 		}
-		u := workload.NewUnixWorld(a, workload.Options{MemoryMB: 4})
+		u := unixWorld(t, a, workload.WithMemoryMB(4))
 		if u.Sys.FreePages() == 0 {
 			t.Fatalf("%v: baseline has no memory", a)
 		}
@@ -47,7 +67,7 @@ func TestMachWorldBootsEveryArch(t *testing.T) {
 func TestNS32082WorldHonoursPhysicalLimit(t *testing.T) {
 	// Boot with 64MB; the chip can address only 32MB, so the kernel must
 	// see at most 32MB of usable pages.
-	w := workload.MustNewMachWorld(workload.ArchNS32082, workload.Options{MemoryMB: 64})
+	w := machWorld(t, workload.ArchNS32082, workload.WithMemoryMB(64))
 	usable := uint64(w.Kernel.TotalPages()) * w.Kernel.PageSize()
 	if usable > 32<<20 {
 		t.Fatalf("kernel uses %dMB; the NS32082 caps at 32MB", usable>>20)
@@ -55,7 +75,7 @@ func TestNS32082WorldHonoursPhysicalLimit(t *testing.T) {
 }
 
 func TestSun3WorldHasDisplayHole(t *testing.T) {
-	w := workload.MustNewMachWorld(workload.ArchSun3, workload.Options{MemoryMB: 8})
+	w := machWorld(t, workload.ArchSun3, workload.WithMemoryMB(8))
 	if len(w.Machine.Mem.Holes()) == 0 {
 		t.Fatal("SUN 3 world should declare a display-memory hole")
 	}
@@ -66,7 +86,7 @@ func TestSun3WorldHasDisplayHole(t *testing.T) {
 }
 
 func TestFileObjectCachingAcrossOpens(t *testing.T) {
-	w := workload.MustNewMachWorld(workload.ArchVAX8650, workload.Options{MemoryMB: 8})
+	w := machWorld(t, workload.ArchVAX8650, workload.WithMemoryMB(8))
 	if _, err := w.FS.Create("f", bytes.Repeat([]byte{1}, 64<<10)); err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +114,12 @@ func TestFileObjectCachingAcrossOpens(t *testing.T) {
 func TestZeroFillRejectsBadWorld(t *testing.T) {
 	// Sanity on the micro-op drivers: they run and produce positive
 	// virtual times.
-	w := workload.MustNewMachWorld(workload.ArchTLBOnly, workload.Options{MemoryMB: 4})
+	w := machWorld(t, workload.ArchTLBOnly, workload.WithMemoryMB(4))
 	v, err := workload.MachZeroFill(w, 1024, 3)
 	if err != nil || v <= 0 {
 		t.Fatalf("MachZeroFill = %d, %v", v, err)
 	}
-	u := workload.NewUnixWorld(workload.ArchTLBOnly, workload.Options{MemoryMB: 4})
+	u := unixWorld(t, workload.ArchTLBOnly, workload.WithMemoryMB(4))
 	v, err = workload.UnixZeroFill(u, 1024, 3)
 	if err != nil || v <= 0 {
 		t.Fatalf("UnixZeroFill = %d, %v", v, err)

@@ -38,7 +38,6 @@
 package machvm
 
 import (
-	"fmt"
 	"io"
 
 	"machvm/internal/core"
@@ -209,28 +208,28 @@ const (
 )
 
 // Arch selects a machine architecture.
-type Arch int
+type Arch = workload.Arch
 
 // The architectures of the paper.
 const (
 	// VAX boots a MicroVAX II-class machine (512-byte hardware pages,
 	// on-demand linear page tables).
-	VAX Arch = iota
+	VAX = workload.ArchUVAX2
 	// VAX8200 and VAX8650 are faster VAXes (the paper's file-read and
 	// compilation machines).
-	VAX8200
-	VAX8650
+	VAX8200 = workload.ArchVAX8200
+	VAX8650 = workload.ArchVAX8650
 	// RTPC boots an IBM RT PC (inverted page table).
-	RTPC
+	RTPC = workload.ArchRTPC
 	// Sun3 boots a SUN 3/160 (segment maps, 8 contexts, display-memory
 	// hole in physical memory).
-	Sun3
+	Sun3 = workload.ArchSun3
 	// NS32082 boots an Encore MultiMax / Sequent Balance class machine
 	// (16MB VA limit, 32MB PA limit, the read-modify-write fault bug).
-	NS32082
+	NS32082 = workload.ArchNS32082
 	// TLBOnly boots an IBM RP3-style machine with no hardware-defined
 	// in-memory mapping structure.
-	TLBOnly
+	TLBOnly = workload.ArchTLBOnly
 )
 
 // Pager-boundary errors and degradation policies.
@@ -292,7 +291,6 @@ type Options struct {
 
 // System is a booted machine running the Mach VM stack.
 type System struct {
-	arch  Arch
 	world *workload.MachWorld
 }
 
@@ -300,25 +298,6 @@ type System struct {
 // unknown architectures or unusable options instead of panicking; MustNew
 // keeps the panicking convenience.
 func New(arch Arch, opts Options) (*System, error) {
-	var wa workload.Arch
-	switch arch {
-	case VAX:
-		wa = workload.ArchUVAX2
-	case VAX8200:
-		wa = workload.ArchVAX8200
-	case VAX8650:
-		wa = workload.ArchVAX8650
-	case RTPC:
-		wa = workload.ArchRTPC
-	case Sun3:
-		wa = workload.ArchSun3
-	case NS32082:
-		wa = workload.ArchNS32082
-	case TLBOnly:
-		wa = workload.ArchTLBOnly
-	default:
-		return nil, fmt.Errorf("machvm: unknown architecture %d", arch)
-	}
 	cfg := workload.NewConfig()
 	if opts.MemoryMB != 0 {
 		cfg.MemoryMB = opts.MemoryMB
@@ -334,11 +313,11 @@ func New(arch Arch, opts Options) (*System, error) {
 	}
 	cfg.Strategy = opts.Strategy
 	cfg.Pager = opts.Pager
-	w, err := workload.BuildMachWorld(wa, cfg)
+	w, err := workload.BuildMachWorld(arch, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &System{arch: arch, world: w}, nil
+	return &System{world: w}, nil
 }
 
 // MustNew is New, panicking on error.
@@ -351,7 +330,7 @@ func MustNew(arch Arch, opts Options) *System {
 }
 
 // Arch returns the system's architecture.
-func (s *System) Arch() Arch { return s.arch }
+func (s *System) Arch() Arch { return s.world.Spec.Arch }
 
 // Kernel returns the machine-independent VM layer.
 func (s *System) Kernel() *Kernel { return s.world.Kernel }

@@ -13,6 +13,9 @@ import (
 )
 
 func TestFacadeBootAllArchitectures(t *testing.T) {
+	if _, err := machvm.New(machvm.Arch(99), machvm.Options{}); err == nil {
+		t.Fatal("New: expected an error for an unknown architecture")
+	}
 	for _, arch := range []machvm.Arch{
 		machvm.VAX, machvm.VAX8200, machvm.VAX8650,
 		machvm.RTPC, machvm.Sun3, machvm.NS32082, machvm.TLBOnly,
