@@ -90,7 +90,31 @@ type tlbMap struct {
 
 	mu    sync.Mutex
 	cache map[uint64]centry
-	fifo  []uint64
+	// fifo is the eviction queue: a power-of-two ring of count vpns from
+	// head. A record whose vpn is cached is live whichever Enter made it,
+	// so a removed and re-entered vpn is evicted at its old position.
+	fifo        []uint64
+	head, count int
+}
+
+// push appends vpn to the eviction queue, doubling the ring when it is full.
+func (m *tlbMap) push(vpn uint64) {
+	if m.count == len(m.fifo) {
+		grown := make([]uint64, max(2*len(m.fifo), 64))
+		n := copy(grown, m.fifo[m.head:])
+		copy(grown[n:], m.fifo[:m.head])
+		m.fifo, m.head = grown, 0
+	}
+	m.fifo[(m.head+m.count)&(len(m.fifo)-1)] = vpn
+	m.count++
+}
+
+// pop takes the oldest record off the eviction queue.
+func (m *tlbMap) pop() uint64 {
+	vpn := m.fifo[m.head]
+	m.head = (m.head + 1) & (len(m.fifo) - 1)
+	m.count--
+	return vpn
 }
 
 // Enter records a mapping in the refill cache, evicting freely when full —
@@ -105,13 +129,15 @@ func (m *tlbMap) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired 
 		vpn uint64
 		pfn vmtypes.PFN
 	}
-	var evicted []evictedEntry
+	// The loop below evicts at most one entry unless wired entries had
+	// pushed the cache over its bound, so one on-stack victim serves.
+	var victim [1]evictedEntry
+	evicted := victim[:0]
 	m.mu.Lock()
 	old, replaced := m.cache[vpn]
 	scanned := 0
-	for len(m.cache) >= cacheEntries && !replaced && scanned <= len(m.fifo) {
-		v := m.fifo[0]
-		m.fifo = m.fifo[1:]
+	for len(m.cache) >= cacheEntries && !replaced && scanned <= m.count {
+		v := m.pop()
 		scanned++
 		e, ok := m.cache[v]
 		switch {
@@ -119,7 +145,7 @@ func (m *tlbMap) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired 
 			// Stale FIFO slot; skip.
 		case e.wired:
 			// Wired entries survive eviction: rotate to the back.
-			m.fifo = append(m.fifo, v)
+			m.push(v)
 		default:
 			delete(m.cache, v)
 			evicted = append(evicted, evictedEntry{vpn: v, pfn: e.pfn})
@@ -127,7 +153,7 @@ func (m *tlbMap) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired 
 	}
 	m.cache[vpn] = centry{pfn: pfn, prot: prot, wired: wired}
 	if !replaced {
-		m.fifo = append(m.fifo, vpn)
+		m.push(vpn)
 	}
 	m.mu.Unlock()
 
@@ -272,7 +298,7 @@ func (m *tlbMap) Destroy() {
 		victims = append(victims, victim{vpn: vpn, pfn: e.pfn})
 		delete(m.cache, vpn)
 	}
-	m.fifo = nil
+	m.fifo, m.head, m.count = nil, 0, 0
 	m.mu.Unlock()
 	for _, v := range victims {
 		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
