@@ -15,11 +15,6 @@ type CPU struct {
 
 	machine *Machine
 
-	// activeSpace is the address-space identifier most recently
-	// activated on this CPU (informational; the pmap layer is the
-	// authority on which map is active where).
-	activeSpace atomic.Uint32
-
 	// pendingNS is this CPU's local charge buffer: virtual nanoseconds
 	// accumulated since the last flush to the global clock. Batching
 	// keeps the cost model from becoming a cross-CPU contention point;
@@ -41,12 +36,6 @@ type CPU struct {
 
 // Machine returns the machine this CPU belongs to.
 func (c *CPU) Machine() *Machine { return c.machine }
-
-// SetActiveSpace records the space activated on this CPU.
-func (c *CPU) SetActiveSpace(space uint32) { c.activeSpace.Store(space) }
-
-// ActiveSpace returns the space most recently activated on this CPU.
-func (c *CPU) ActiveSpace() uint32 { return c.activeSpace.Load() }
 
 // Charge accumulates d virtual nanoseconds in this CPU's local buffer
 // (or writes through to the global clock when the machine is in

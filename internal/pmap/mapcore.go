@@ -57,7 +57,6 @@ func (mc *MapCore) ActivateOn(cpu *hw.CPU) {
 	}
 	mc.active = append(mc.active, cpu)
 	mc.snapLocked()
-	cpu.SetActiveSpace(mc.space)
 }
 
 // snapLocked rebuilds the immutable active-CPU snapshot; activeMu held.
@@ -92,11 +91,4 @@ func (mc *MapCore) ActiveCPUs() []*hw.CPU {
 		return *snap
 	}
 	return nil
-}
-
-// IsActive reports whether any CPU currently uses the map.
-func (mc *MapCore) IsActive() bool {
-	mc.activeMu.Lock()
-	defer mc.activeMu.Unlock()
-	return len(mc.active) > 0
 }

@@ -13,8 +13,6 @@
 package ns32082
 
 import (
-	"sync"
-
 	"machvm/internal/hw"
 	"machvm/internal/pmap"
 	"machvm/internal/vmtypes"
@@ -64,20 +62,31 @@ func DefaultCost() hw.CostModel {
 	}
 }
 
+// spec describes the NS32082 to the shared table: a two-level page table
+// whose 128-entry second-level tables are built on demand.
+var spec = pmap.TableSpec{
+	Name:       "NS32082",
+	PageSize:   HWPageSize,
+	GroupPTEs:  l2Entries,
+	MaxVA:      MaxUserVA,
+	MaxFrames:  MaxPhysBytes / HWPageSize,
+	GroupBytes: l2TableBytes,
+	// A new second-level table is a zeroed 512 bytes of table memory.
+	ChargeGroup: func(m *hw.Machine) { m.ChargeKB(m.Cost.ZeroPerKB, l2TableBytes) },
+	WalkLevels:  2,
+}
+
 // Module is the NS32082 machine-dependent module.
 type Module struct {
-	pmap.ModuleBase
+	pmap.TableModule
 }
 
 // New creates an NS32082 pmap module for the machine. Physical frames
 // beyond the 32MB limit exist but are unusable: MaxFrames reports the cap
 // and the machine-independent layer must not hand them out.
 func New(m *hw.Machine, strategy pmap.Strategy) *Module {
-	if m.Mem.PageSize() != HWPageSize {
-		panic("ns32082: machine must use 512-byte hardware pages")
-	}
 	mod := &Module{}
-	mod.InitBase("NS32082", m, strategy, MaxUserVA, MaxPhysBytes/HWPageSize)
+	mod.InitTables(spec, m, strategy)
 	return mod
 }
 
@@ -102,266 +111,11 @@ func (mod *Module) CorrectFaultAccess(reported, mappingProt vmtypes.Prot) vmtype
 	return reported
 }
 
-// Create makes a new two-level page table (pmap_create).
+// Create makes a new two-level page table (pmap_create): the shared table
+// as it stands — the chip's quirks are all in the module's limits and its
+// fault reporting.
 func (mod *Module) Create() pmap.Map {
-	nm := &nsMap{mod: mod, l1: make(map[uint32]*l2table)}
-	nm.InitCore()
-	return nm
-}
-
-type pte struct {
-	pfn   vmtypes.PFN
-	prot  vmtypes.Prot
-	valid bool
-	wired bool
-}
-
-type l2table struct {
-	ptes [l2Entries]pte
-	used int
-}
-
-type nsMap struct {
-	pmap.MapCore
-	mod *Module
-
-	mu       sync.Mutex
-	l1       map[uint32]*l2table
-	resident int
-}
-
-func (m *nsMap) tableFor(vpn uint64, create bool) *l2table {
-	idx := uint32(vpn / l2Entries)
-	t := m.l1[idx]
-	if t == nil && create {
-		t = &l2table{}
-		m.l1[idx] = t
-		m.mod.Machine().ChargeKB(m.mod.Machine().Cost.ZeroPerKB, l2TableBytes)
-		m.mod.Stats().AddTableBytes(l2TableBytes)
-	}
+	t := &pmap.Table{}
+	t.Init(&mod.TableModule, t)
 	return t
-}
-
-// Enter establishes one hardware mapping (pmap_enter).
-func (m *nsMap) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired bool) {
-	if va >= MaxUserVA {
-		panic("ns32082: virtual address beyond the 16MB page-table limit")
-	}
-	if int(pfn) >= m.mod.MaxFrames() {
-		panic("ns32082: physical frame beyond the 32MB addressing limit")
-	}
-	mod := m.mod
-	vpn := uint64(va) / HWPageSize
-	mod.Stats().Enters.Add(1)
-	mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-
-	m.mu.Lock()
-	t := m.tableFor(vpn, true)
-	e := &t.ptes[vpn%l2Entries]
-	replaced := e.valid
-	oldPFN := e.pfn
-	if !e.valid {
-		t.used++
-		m.resident++
-	}
-	*e = pte{pfn: pfn, prot: prot, valid: true, wired: wired}
-	m.mu.Unlock()
-
-	if replaced {
-		if oldPFN != pfn {
-			mod.DB().RemovePV(oldPFN, m, va&^vmtypes.VA(HWPageSize-1))
-		}
-		mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), true)
-	}
-	mod.DB().AddPV(pfn, m, va&^vmtypes.VA(HWPageSize-1))
-}
-
-// Remove invalidates mappings in [start, end) (pmap_remove).
-func (m *nsMap) Remove(start, end vmtypes.VA) {
-	mod := m.mod
-	mod.Stats().Removes.Add(1)
-	if end > MaxUserVA {
-		end = MaxUserVA
-	}
-	for vpn := uint64(start) / HWPageSize; vpn < (uint64(end)+HWPageSize-1)/HWPageSize; vpn++ {
-		m.mu.Lock()
-		t := m.tableFor(vpn, false)
-		if t == nil {
-			m.mu.Unlock()
-			vpn = (vpn/l2Entries+1)*l2Entries - 1
-			continue
-		}
-		e := &t.ptes[vpn%l2Entries]
-		if !e.valid {
-			m.mu.Unlock()
-			continue
-		}
-		pfn := e.pfn
-		*e = pte{}
-		t.used--
-		m.resident--
-		if t.used == 0 {
-			delete(m.l1, uint32(vpn/l2Entries))
-			mod.Stats().AddTableBytes(-l2TableBytes)
-		}
-		m.mu.Unlock()
-
-		mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-		mod.DB().RemovePV(pfn, m, vmtypes.VA(vpn*HWPageSize))
-		mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), true)
-	}
-}
-
-// Protect reduces protection on [start, end) (pmap_protect).
-func (m *nsMap) Protect(start, end vmtypes.VA, prot vmtypes.Prot) {
-	mod := m.mod
-	mod.Stats().Protects.Add(1)
-	if end > MaxUserVA {
-		end = MaxUserVA
-	}
-	for vpn := uint64(start) / HWPageSize; vpn < (uint64(end)+HWPageSize-1)/HWPageSize; vpn++ {
-		m.mu.Lock()
-		t := m.tableFor(vpn, false)
-		if t == nil {
-			m.mu.Unlock()
-			vpn = (vpn/l2Entries+1)*l2Entries - 1
-			continue
-		}
-		e := &t.ptes[vpn%l2Entries]
-		changed := false
-		if e.valid {
-			np := e.prot.Intersect(prot)
-			changed = np != e.prot
-			e.prot = np
-		}
-		m.mu.Unlock()
-		if changed {
-			mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-			mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), false)
-		}
-	}
-}
-
-// Walk performs the two-level hardware table walk.
-func (m *nsMap) Walk(va vmtypes.VA) (vmtypes.PFN, vmtypes.Prot, bool) {
-	mod := m.mod
-	mod.Stats().Walks.Add(1)
-	mod.Machine().Charge(2 * mod.Machine().Cost.WalkLevel)
-	if va >= MaxUserVA {
-		mod.Stats().WalkMisses.Add(1)
-		return 0, 0, false
-	}
-	vpn := uint64(va) / HWPageSize
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.tableFor(vpn, false)
-	if t == nil || !t.ptes[vpn%l2Entries].valid {
-		mod.Stats().WalkMisses.Add(1)
-		return 0, 0, false
-	}
-	e := t.ptes[vpn%l2Entries]
-	return e.pfn, e.prot, true
-}
-
-// Extract returns the frame mapped at va (pmap_extract).
-func (m *nsMap) Extract(va vmtypes.VA) (vmtypes.PFN, bool) {
-	if va >= MaxUserVA {
-		return 0, false
-	}
-	vpn := uint64(va) / HWPageSize
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.tableFor(vpn, false)
-	if t == nil || !t.ptes[vpn%l2Entries].valid {
-		return 0, false
-	}
-	return t.ptes[vpn%l2Entries].pfn, true
-}
-
-// Access reports whether va is mapped (pmap_access).
-func (m *nsMap) Access(va vmtypes.VA) bool {
-	_, ok := m.Extract(va)
-	return ok
-}
-
-// Activate loads the map's page-table base on a CPU.
-func (m *nsMap) Activate(cpu *hw.CPU) {
-	m.mod.Machine().Charge(m.mod.Machine().Cost.ContextLoad)
-	m.ActivateOn(cpu)
-}
-
-// Deactivate unloads the map; the MMU's small translation cache does not
-// survive a context switch.
-func (m *nsMap) Deactivate(cpu *hw.CPU) {
-	m.DeactivateOn(cpu)
-	m.mod.Machine().Charge(m.mod.Machine().Cost.TLBFlushAll)
-	cpu.TLB.FlushSpace(m.Space())
-}
-
-// Collect throws away non-wired mappings and empty second-level tables.
-func (m *nsMap) Collect() {
-	mod := m.mod
-	mod.Stats().Collects.Add(1)
-	type victim struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
-	var victims []victim
-	m.mu.Lock()
-	for idx, t := range m.l1 {
-		for i := range t.ptes {
-			e := &t.ptes[i]
-			if e.valid && !e.wired {
-				victims = append(victims, victim{vpn: uint64(idx)*l2Entries + uint64(i), pfn: e.pfn})
-				*e = pte{}
-				t.used--
-				m.resident--
-			}
-		}
-		if t.used == 0 {
-			delete(m.l1, idx)
-			mod.Stats().AddTableBytes(-l2TableBytes)
-		}
-	}
-	m.mu.Unlock()
-	for _, v := range victims {
-		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
-	}
-	mod.Shootdown().InvalidateSpace(m.Space(), m.ActiveCPUs())
-}
-
-// Destroy drops a reference and frees the tables when none remain.
-func (m *nsMap) Destroy() {
-	if !m.Release() {
-		return
-	}
-	mod := m.mod
-	type victim struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
-	var victims []victim
-	m.mu.Lock()
-	for idx, t := range m.l1 {
-		for i := range t.ptes {
-			if e := t.ptes[i]; e.valid {
-				victims = append(victims, victim{vpn: uint64(idx)*l2Entries + uint64(i), pfn: e.pfn})
-			}
-		}
-		delete(m.l1, idx)
-		mod.Stats().AddTableBytes(-l2TableBytes)
-	}
-	m.resident = 0
-	m.mu.Unlock()
-	for _, v := range victims {
-		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
-	}
-	mod.Shootdown().InvalidateSpace(m.Space(), m.ActiveCPUs())
-}
-
-// ResidentCount returns the number of hardware mappings held.
-func (m *nsMap) ResidentCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.resident
 }

@@ -31,9 +31,10 @@ type Pageabler interface {
 // structure lets it do materially better than a loop of Enter calls —
 // batching lock holds and shootdowns per table granule, and recognizing
 // when a granule has become fully and uniformly mapped so it can be
-// treated as one large mapping ("superpage"). Machines with nothing to
-// gain (ns32082, rtpc, tlbonly) simply do not implement the interface and
-// the machine-independent layer falls back to the per-page loop.
+// treated as one large mapping ("superpage"). RangeTable is the shared
+// implementation; a machine with nothing to gain does not implement the
+// interface and the machine-independent layer falls back to the per-page
+// loop (TestOptionalInterfaceMatrix pins which machine has what).
 //
 // Every mapping established through EnterRange must be indistinguishable,
 // through Extract/Access/Walk and the physical-to-virtual database, from
@@ -45,9 +46,8 @@ type RangeEnterer interface {
 	// page aligned; pfns[i] backs va + i*pagesize.
 	EnterRange(va vmtypes.VA, pfns []vmtypes.PFN, prot vmtypes.Prot, wired bool)
 
-	// SuperSpan returns the byte span of the module's promotion granule
-	// (the VAX page-table page, the SUN 3 segment). The machine-
-	// independent layer uses it to size promotion attempts.
+	// SuperSpan returns the byte span of the module's promotion granule.
+	// The machine-independent layer uses it to size promotion attempts.
 	SuperSpan() uint64
 
 	// SuperActive reports whether the granule containing va is currently

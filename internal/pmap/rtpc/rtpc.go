@@ -140,7 +140,8 @@ func (m *rtMap) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired b
 		if oe.valid && oe.owner == m && oe.vpn == vpn {
 			oe.valid = false
 			m.resident--
-			mod.DBRemoveLocked(old, m, vpn)
+			// PhysDB has its own per-frame lock, taken inside mod.mu.
+			mod.DB().RemovePV(old, m, vmtypes.VA(vpn*HWPageSize))
 		}
 		delete(mod.hash, k)
 	}
@@ -158,12 +159,6 @@ func (m *rtMap) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired b
 	}
 	mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), true)
 	mod.DB().AddPV(pfn, m, va&^vmtypes.VA(HWPageSize-1))
-}
-
-// DBRemoveLocked removes a PV entry while mod.mu is held. The PhysDB has
-// its own lock, so this is safe; it exists to keep lock ordering obvious.
-func (mod *Module) DBRemoveLocked(pfn vmtypes.PFN, m pmap.Map, vpn uint64) {
-	mod.DB().RemovePV(pfn, m, vmtypes.VA(vpn*HWPageSize))
 }
 
 // Remove invalidates mappings in [start, end).

@@ -70,16 +70,11 @@ func NewShooter(m *hw.Machine, s Strategy) *Shooter {
 // Strategy returns the configured strategy.
 func (s *Shooter) Strategy() Strategy { return s.strategy }
 
-// SetStrategy changes the strategy (benchmarks sweep it).
-func (s *Shooter) SetStrategy(st Strategy) { s.strategy = st }
-
 // Stats returns the shooter's counters.
 func (s *Shooter) Stats() *ShootStats { return &s.stats }
 
-// flushLocal invalidates the page in every TLB as seen from the calling
-// context's own CPU set; with no notion of "current CPU" in the simulation
-// the local flush is applied to the first active CPU and remote handling
-// covers the rest. When active is empty nothing is stale.
+// flushPageOn invalidates one page in cpu's TLB on behalf of the CPU
+// performing the operation, charging the flush to the global clock.
 func (s *Shooter) flushPageOn(cpu *hw.CPU, key hw.TLBKey) {
 	s.machine.Charge(s.machine.Cost.TLBFlushPage)
 	cpu.TLB.FlushPage(key)

@@ -13,7 +13,6 @@
 package sun3
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -65,9 +64,24 @@ func DefaultCost() hw.CostModel {
 	}
 }
 
+// spec describes the SUN 3 to the shared table: segment map over page-map
+// entry groups, each PMEG the page table for one 128KB segment.
+var spec = pmap.TableSpec{
+	Name:      "SUN 3",
+	PageSize:  HWPageSize,
+	GroupPTEs: pagesPerPMEG,
+	MaxVA:     MaxUserVA,
+	// PMEGs live in the fixed MMU RAM New accounts for: GroupBytes is 0,
+	// and loading one costs a quarter of a PTE write per entry.
+	ChargeGroup: func(m *hw.Machine) { m.Charge(m.Cost.PTEOp * pagesPerPMEG / 4) },
+	// Segment map, then page map; a promoted PMEG is satisfied from the
+	// segment probe alone.
+	WalkLevels: 2,
+}
+
 // Module is the SUN 3 machine-dependent module.
 type Module struct {
-	pmap.ModuleBase
+	pmap.TableModule
 
 	mu       sync.Mutex
 	contexts [NumContexts]*sun3Map
@@ -77,11 +91,8 @@ type Module struct {
 // New creates a SUN 3 pmap module for the machine. Declare the display-
 // memory hole when building the hw.Machine (see DisplayHole).
 func New(m *hw.Machine, strategy pmap.Strategy) *Module {
-	if m.Mem.PageSize() != HWPageSize {
-		panic("sun3: machine must use 8192-byte hardware pages")
-	}
 	mod := &Module{}
-	mod.InitBase("SUN 3", m, strategy, MaxUserVA, 0)
+	mod.InitTables(spec, m, strategy)
 	mod.Stats().AddTableBytes(int64(mmuRAMBytes))
 	return mod
 }
@@ -101,36 +112,16 @@ func DisplayHole(totalFrames, holeFrames int) hw.FrameRange {
 // Create makes a new physical map. It owns no hardware context until it is
 // activated or entered into.
 func (mod *Module) Create() pmap.Map {
-	sm := &sun3Map{mod: mod, segments: make(map[uint64]*pmeg)}
-	sm.InitCore()
+	sm := &sun3Map{mod: mod}
+	sm.Init(&mod.TableModule, sm)
 	return sm
 }
 
-type pentry struct {
-	pfn   vmtypes.PFN
-	prot  vmtypes.Prot
-	valid bool
-	wired bool
-}
-
-// pmeg is a page-map entry group: the page table for one 128KB segment.
-// A PMEG whose every entry is valid with one uniform protection is
-// "super": the MMU can satisfy the translation from the segment probe
-// alone, so Walk on a promoted PMEG charges one level instead of two.
-type pmeg struct {
-	entries [pagesPerPMEG]pentry
-	used    int
-	super   bool
-}
-
+// sun3Map is the shared table plus the one thing it cannot express:
+// hardware state exists only inside one of the 8 contexts' MMU RAM.
 type sun3Map struct {
-	pmap.MapCore
+	pmap.RangeTable
 	mod *Module
-
-	mu         sync.Mutex
-	segments   map[uint64]*pmeg
-	resident   int
-	superCount int
 
 	// context and lastUsed are guarded by mod.mu; haveContext is
 	// atomic because the hot Walk path reads it.
@@ -184,268 +175,48 @@ func (mod *Module) acquireContext(m *sun3Map) {
 	mod.mu.Unlock()
 
 	if victim != nil {
-		victim.dropHardwareState()
+		// Wired entries survive: Mach keeps a shadow of them and reloads
+		// eagerly.
+		victim.Drain(true)
 	}
 	mod.Machine().Charge(mod.Machine().Cost.ContextLoad)
 }
 
-// dropHardwareState discards every non-wired translation, as happens when
-// the map's context (and thus its MMU RAM) is given to another task.
-func (m *sun3Map) dropHardwareState() {
-	mod := m.mod
-	type victim struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
-	var victims []victim
-	m.mu.Lock()
-	for seg, p := range m.segments {
-		allGone := true
-		for i := range p.entries {
-			e := &p.entries[i]
-			if !e.valid {
-				continue
-			}
-			if e.wired {
-				// Wired entries survive: Mach keeps a shadow of
-				// them and reloads eagerly.
-				allGone = false
-				continue
-			}
-			victims = append(victims, victim{
-				vpn: seg*pagesPerPMEG + uint64(i),
-				pfn: e.pfn,
-			})
-			*e = pentry{}
-			p.used--
-			m.resident--
-		}
-		if p.super && p.used != pagesPerPMEG {
-			m.demoteLocked(p)
-		}
-		if allGone && p.used == 0 {
-			delete(m.segments, seg)
-		}
-	}
-	m.mu.Unlock()
-	for _, v := range victims {
-		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
-	}
-	mod.Shootdown().InvalidateSpace(m.Space(), m.ActiveCPUs())
-}
-
-func (m *sun3Map) pmegFor(vpn uint64, create bool) *pmeg {
-	seg := vpn / pagesPerPMEG
-	p := m.segments[seg]
-	if p == nil && create {
-		p = &pmeg{}
-		m.segments[seg] = p
-		m.mod.Machine().Charge(m.mod.Machine().Cost.PTEOp * pagesPerPMEG / 4)
-	}
-	return p
-}
-
-// updateSuperLocked re-derives the PMEG's superpage status after entry
-// changes: super exactly when every entry is valid with one uniform
-// protection. O(1) unless the PMEG is full. Called with m.mu held.
-func (m *sun3Map) updateSuperLocked(p *pmeg) {
-	want := p.used == pagesPerPMEG
-	if want {
-		p0 := p.entries[0].prot
-		for i := 1; i < pagesPerPMEG; i++ {
-			if p.entries[i].prot != p0 {
-				want = false
-				break
-			}
-		}
-	}
-	switch {
-	case want && !p.super:
-		p.super = true
-		m.superCount++
-		m.mod.Stats().Promotions.Add(1)
-	case !want && p.super:
-		p.super = false
-		m.superCount--
-		m.mod.Stats().Demotions.Add(1)
-	}
-}
-
-// demoteLocked clears a PMEG's superpage status on a partial operation
-// known to break it (a removal). Called with m.mu held.
-func (m *sun3Map) demoteLocked(p *pmeg) {
-	if p.super {
-		p.super = false
-		m.superCount--
-		m.mod.Stats().Demotions.Add(1)
-	}
-}
-
-// Enter establishes one hardware mapping, acquiring a context first if
-// necessary (hardware state can exist only inside a context's MMU RAM).
+// Enter acquires a context first if necessary: hardware state can exist
+// only inside a context's MMU RAM.
 func (m *sun3Map) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired bool) {
-	if va >= MaxUserVA {
-		panic("sun3: virtual address beyond the 256MB map limit")
-	}
-	mod := m.mod
-	mod.acquireContext(m)
-	vpn := uint64(va) / HWPageSize
-	mod.Stats().Enters.Add(1)
-	mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-
-	m.mu.Lock()
-	p := m.pmegFor(vpn, true)
-	e := &p.entries[vpn%pagesPerPMEG]
-	replaced := e.valid
-	oldPFN := e.pfn
-	if !e.valid {
-		p.used++
-		m.resident++
-	}
-	*e = pentry{pfn: pfn, prot: prot, valid: true, wired: wired}
-	m.updateSuperLocked(p)
-	m.mu.Unlock()
-
-	if replaced {
-		if oldPFN != pfn {
-			mod.DB().RemovePV(oldPFN, m, va&^vmtypes.VA(HWPageSize-1))
-		}
-		mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), true)
-	}
-	mod.DB().AddPV(pfn, m, va&^vmtypes.VA(HWPageSize-1))
+	m.mod.acquireContext(m)
+	m.RangeTable.Enter(va, pfn, prot, wired)
 }
 
-// Remove invalidates mappings in [start, end).
-func (m *sun3Map) Remove(start, end vmtypes.VA) {
-	mod := m.mod
-	mod.Stats().Removes.Add(1)
-	for vpn := uint64(start) / HWPageSize; vpn < (uint64(end)+HWPageSize-1)/HWPageSize; vpn++ {
-		m.mu.Lock()
-		p := m.pmegFor(vpn, false)
-		if p == nil {
-			m.mu.Unlock()
-			vpn = (vpn/pagesPerPMEG+1)*pagesPerPMEG - 1
-			continue
-		}
-		e := &p.entries[vpn%pagesPerPMEG]
-		if !e.valid {
-			m.mu.Unlock()
-			continue
-		}
-		pfn := e.pfn
-		*e = pentry{}
-		p.used--
-		m.resident--
-		m.demoteLocked(p)
-		if p.used == 0 {
-			delete(m.segments, vpn/pagesPerPMEG)
-		}
-		m.mu.Unlock()
-
-		mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-		mod.DB().RemovePV(pfn, m, vmtypes.VA(vpn*HWPageSize))
-		mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), true)
+// EnterRange makes one context acquisition for the whole run.
+func (m *sun3Map) EnterRange(va vmtypes.VA, pfns []vmtypes.PFN, prot vmtypes.Prot, wired bool) {
+	if len(pfns) == 0 {
+		return
 	}
+	m.mod.acquireContext(m)
+	m.RangeTable.EnterRange(va, pfns, prot, wired)
 }
 
-// Protect reduces protection on [start, end).
-func (m *sun3Map) Protect(start, end vmtypes.VA, prot vmtypes.Prot) {
-	mod := m.mod
-	mod.Stats().Protects.Add(1)
-	for vpn := uint64(start) / HWPageSize; vpn < (uint64(end)+HWPageSize-1)/HWPageSize; vpn++ {
-		m.mu.Lock()
-		p := m.pmegFor(vpn, false)
-		if p == nil {
-			m.mu.Unlock()
-			vpn = (vpn/pagesPerPMEG+1)*pagesPerPMEG - 1
-			continue
-		}
-		e := &p.entries[vpn%pagesPerPMEG]
-		changed := false
-		if e.valid {
-			np := e.prot.Intersect(prot)
-			changed = np != e.prot
-			e.prot = np
-		}
-		if changed {
-			m.updateSuperLocked(p)
-		}
-		m.mu.Unlock()
-		if changed {
-			mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-			mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), false)
-		}
-	}
-}
-
-// Walk performs the hardware translation (segment map, then page map).
-// A map without a context has no loaded translations: everything faults
-// until the context is re-acquired.
+// Walk performs the hardware translation. A map without a context has no
+// loaded translations: everything faults until the context is re-acquired.
 func (m *sun3Map) Walk(va vmtypes.VA) (vmtypes.PFN, vmtypes.Prot, bool) {
+	if m.haveContext.Load() {
+		return m.RangeTable.Walk(va)
+	}
 	mod := m.mod
 	mod.Stats().Walks.Add(1)
-	if !m.haveContext.Load() {
-		mod.Machine().Charge(2 * mod.Machine().Cost.WalkLevel)
-		mod.Stats().WalkMisses.Add(1)
-		return 0, 0, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	vpn := uint64(va) / HWPageSize
-	p := m.pmegFor(vpn, false)
-	if p != nil && p.super {
-		// A promoted PMEG acts as one segment-level mapping: the segment
-		// probe alone resolves the translation.
-		mod.Machine().Charge(mod.Machine().Cost.WalkLevel)
-	} else {
-		mod.Machine().Charge(2 * mod.Machine().Cost.WalkLevel)
-	}
-	if p == nil || !p.entries[vpn%pagesPerPMEG].valid {
-		mod.Stats().WalkMisses.Add(1)
-		return 0, 0, false
-	}
-	e := p.entries[vpn%pagesPerPMEG]
-	return e.pfn, e.prot, true
-}
-
-// Extract returns the frame mapped at va (pmap_extract).
-func (m *sun3Map) Extract(va vmtypes.VA) (vmtypes.PFN, bool) {
-	vpn := uint64(va) / HWPageSize
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := m.pmegFor(vpn, false)
-	if p == nil || !p.entries[vpn%pagesPerPMEG].valid {
-		return 0, false
-	}
-	return p.entries[vpn%pagesPerPMEG].pfn, true
-}
-
-// Access reports whether va is mapped (pmap_access).
-func (m *sun3Map) Access(va vmtypes.VA) bool {
-	_, ok := m.Extract(va)
-	return ok
+	mod.Machine().Charge(spec.WalkLevels * mod.Machine().Cost.WalkLevel)
+	mod.Stats().WalkMisses.Add(1)
+	return 0, 0, false
 }
 
 // Activate makes the map current on a CPU, competing for one of the 8
-// contexts.
+// contexts. (Deactivate retains the context — that is the point of
+// contexts — until another task steals it.)
 func (m *sun3Map) Activate(cpu *hw.CPU) {
 	m.mod.acquireContext(m)
 	m.ActivateOn(cpu)
-}
-
-// Deactivate unloads the map from a CPU. The context is retained — that is
-// the point of contexts — until another task steals it.
-func (m *sun3Map) Deactivate(cpu *hw.CPU) {
-	m.DeactivateOn(cpu)
-	m.mod.Machine().Charge(m.mod.Machine().Cost.TLBFlushAll)
-	cpu.TLB.FlushSpace(m.Space())
-}
-
-// Collect discards non-wired hardware state (equivalent to losing the
-// context voluntarily).
-func (m *sun3Map) Collect() {
-	m.mod.Stats().Collects.Add(1)
-	m.dropHardwareState()
 }
 
 // Destroy releases the map, freeing its context.
@@ -453,29 +224,8 @@ func (m *sun3Map) Destroy() {
 	if !m.Release() {
 		return
 	}
+	m.Drain(false)
 	mod := m.mod
-	type victim struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
-	var victims []victim
-	m.mu.Lock()
-	for seg, p := range m.segments {
-		for i := range p.entries {
-			if e := p.entries[i]; e.valid {
-				victims = append(victims, victim{vpn: seg*pagesPerPMEG + uint64(i), pfn: e.pfn})
-			}
-		}
-		m.demoteLocked(p)
-		delete(m.segments, seg)
-	}
-	m.resident = 0
-	m.mu.Unlock()
-	for _, v := range victims {
-		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
-	}
-	mod.Shootdown().InvalidateSpace(m.Space(), m.ActiveCPUs())
-
 	mod.mu.Lock()
 	if m.haveContext.Load() {
 		mod.contexts[m.context] = nil
@@ -483,135 +233,6 @@ func (m *sun3Map) Destroy() {
 		m.context = -1
 	}
 	mod.mu.Unlock()
-}
-
-// ResidentCount returns the number of loaded hardware mappings.
-func (m *sun3Map) ResidentCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.resident
-}
-
-// HasContext reports whether the map currently holds a hardware context.
-func (m *sun3Map) HasContext() bool { return m.haveContext.Load() }
-
-// EnterRange implements the optional pmap.RangeEnterer: one context
-// acquisition and one lock hold per PMEG for a run of consecutive
-// mappings, with promotion checked once per touched PMEG.
-func (m *sun3Map) EnterRange(va vmtypes.VA, pfns []vmtypes.PFN, prot vmtypes.Prot, wired bool) {
-	if len(pfns) == 0 {
-		return
-	}
-	if uint64(va)%HWPageSize != 0 {
-		panic("sun3: EnterRange address not hardware-page aligned")
-	}
-	if va+vmtypes.VA(len(pfns))*HWPageSize > MaxUserVA {
-		panic("sun3: virtual address beyond the 256MB map limit")
-	}
-	mod := m.mod
-	mod.acquireContext(m)
-	mod.Stats().RangeEnters.Add(1)
-	mod.Stats().Enters.Add(uint64(len(pfns)))
-
-	type replacement struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
-	var replaced []replacement
-	startVPN := uint64(va) / HWPageSize
-	for i := 0; i < len(pfns); {
-		seg := (startVPN + uint64(i)) / pagesPerPMEG
-		m.mu.Lock()
-		p := m.pmegFor(startVPN+uint64(i), true)
-		for ; i < len(pfns); i++ {
-			vpn := startVPN + uint64(i)
-			if vpn/pagesPerPMEG != seg {
-				break
-			}
-			mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-			e := &p.entries[vpn%pagesPerPMEG]
-			want := pentry{pfn: pfns[i], prot: prot, valid: true, wired: wired}
-			if *e == want {
-				continue
-			}
-			if e.valid {
-				replaced = append(replaced, replacement{vpn: vpn, pfn: e.pfn})
-			} else {
-				p.used++
-				m.resident++
-			}
-			*e = want
-		}
-		m.updateSuperLocked(p)
-		m.mu.Unlock()
-	}
-	for _, r := range replaced {
-		if r.pfn != pfns[r.vpn-startVPN] {
-			mod.DB().RemovePV(r.pfn, m, vmtypes.VA(r.vpn*HWPageSize))
-		}
-		mod.Shootdown().InvalidatePage(m.Space(), r.vpn, m.ActiveCPUs(), true)
-	}
-	for i, pfn := range pfns {
-		mod.DB().AddPV(pfn, m, vmtypes.VA((startVPN+uint64(i))*HWPageSize))
-	}
-}
-
-// SuperSpan returns the SUN 3 promotion granule: one 128KB segment.
-func (m *sun3Map) SuperSpan() uint64 { return segmentSize }
-
-// SuperActive reports whether the PMEG containing va is promoted.
-func (m *sun3Map) SuperActive(va vmtypes.VA) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := m.segments[uint64(va)/HWPageSize/pagesPerPMEG]
-	return p != nil && p.super
-}
-
-// SuperCount returns the number of currently promoted PMEGs.
-func (m *sun3Map) SuperCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.superCount
-}
-
-// CheckSuperInvariants verifies the promotion bookkeeping: each PMEG's
-// used matches its count of valid entries, a PMEG is marked super exactly
-// when fully mapped with uniform protection, and the map-wide counter
-// matches the marked PMEGs.
-func (m *sun3Map) CheckSuperInvariants() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	supers := 0
-	for seg, p := range m.segments {
-		used := 0
-		mixed := false
-		var p0 vmtypes.Prot
-		for i := range p.entries {
-			if !p.entries[i].valid {
-				continue
-			}
-			if used == 0 {
-				p0 = p.entries[i].prot
-			} else if p.entries[i].prot != p0 {
-				mixed = true
-			}
-			used++
-		}
-		if used != p.used {
-			return fmt.Errorf("sun3: segment %d records used=%d but holds %d valid entries", seg, p.used, used)
-		}
-		uniform := used == pagesPerPMEG && !mixed
-		if p.super != uniform {
-			return fmt.Errorf("sun3: segment %d super=%v but full-and-uniform=%v", seg, p.super, uniform)
-		}
-		if p.super {
-			supers++
-		}
-	}
-	if supers != m.superCount {
-		return fmt.Errorf("sun3: superCount=%d but %d segments are marked super", m.superCount, supers)
-	}
-	return nil
 }
 
 var _ pmap.RangeEnterer = (*sun3Map)(nil)

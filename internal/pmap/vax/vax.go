@@ -13,9 +13,6 @@
 package vax
 
 import (
-	"fmt"
-	"sync"
-
 	"machvm/internal/hw"
 	"machvm/internal/pmap"
 	"machvm/internal/vmtypes"
@@ -94,390 +91,49 @@ func Cost8650() hw.CostModel {
 	return c
 }
 
+// spec describes the VAX to the shared table: a linear page table built one
+// 512-byte page-table page (128 PTEs, a 64KB span) at a time.
+var spec = pmap.TableSpec{
+	Name:       "VAX",
+	PageSize:   HWPageSize,
+	GroupPTEs:  ptesPerChunk,
+	MaxVA:      MaxUserVA,
+	GroupBytes: HWPageSize,
+	// Constructing a page-table page costs a zeroed page of table memory.
+	ChargeGroup: func(m *hw.Machine) { m.ChargeKB(m.Cost.ZeroPerKB, HWPageSize) },
+	// One extra memory reference through the linear page table.
+	WalkLevels: 1,
+	// A refault on a resident page finds its PTE already correct; of the
+	// three table machines only the VAX module skips the shootdown then.
+	ReenterIsNoop: true,
+}
+
 // Module is the VAX machine-dependent module.
 type Module struct {
-	pmap.ModuleBase
+	pmap.TableModule
 }
 
 // New creates a VAX pmap module for the machine.
 func New(m *hw.Machine, strategy pmap.Strategy) *Module {
-	if m.Mem.PageSize() != HWPageSize {
-		panic("vax: machine must use 512-byte hardware pages")
-	}
 	mod := &Module{}
-	mod.InitBase("VAX", m, strategy, MaxUserVA, 0)
+	mod.InitTables(spec, m, strategy)
 	return mod
 }
 
-// Create makes a new, empty VAX physical map (pmap_create). The page
-// table starts entirely unconstructed.
-func (mod *Module) Create() pmap.Map {
-	vm := &vaxMap{mod: mod, chunks: make(map[uint64]*ptChunk, 8)}
-	vm.InitCore()
-	// Prime the chunk pool so a map's first page-table pages come off
-	// the free list: allocation counts stay flat from the first fault.
-	// Six 64KB-span chunks cover a 256KB region plus straddle.
-	for i := 0; i < 6; i++ {
-		vm.chunkPool = append(vm.chunkPool, &ptChunk{})
-	}
-	return vm
-}
-
-type pte struct {
-	pfn   vmtypes.PFN
-	prot  vmtypes.Prot
-	valid bool
-	wired bool
-}
-
-// ptChunk is one page-table page: the granule at which Mach creates and
-// destroys VAX page tables. A chunk whose every PTE is valid with one
-// uniform protection is "super": the closest thing 1987 VAX hardware has
-// to a superpage, a page-table page the module can treat as one large
-// mapping when batching range operations.
-type ptChunk struct {
-	ptes  [ptesPerChunk]pte
-	used  int
-	super bool
-}
-
+// vaxMap "corresponds to a VAX page table" (§3.6): the shared on-demand
+// table, whose fully and uniformly mapped page-table pages are the closest
+// thing 1987 VAX hardware has to a superpage.
 type vaxMap struct {
-	pmap.MapCore
-	mod *Module
-
-	mu         sync.Mutex
-	chunks     map[uint64]*ptChunk
-	resident   int
-	superCount int
-
-	// chunkPool recycles empty page-table pages within this map. Safe
-	// because Remove and Collect zero each PTE before used can reach
-	// zero, so a pooled chunk is indistinguishable from a fresh one.
-	// Destroy deliberately does not feed the pool: it drops chunks with
-	// their stale PTEs intact, and the map dies with them anyway.
-	chunkPool []*ptChunk
+	pmap.RangeTable
 }
 
-// maxChunkPool bounds the per-map free list of page-table pages.
-const maxChunkPool = 8
-
-func (m *vaxMap) chunkFor(vpn uint64, create bool) *ptChunk {
-	ci := vpn / ptesPerChunk
-	c := m.chunks[ci]
-	if c == nil && create {
-		if n := len(m.chunkPool); n > 0 {
-			c = m.chunkPool[n-1]
-			m.chunkPool[n-1] = nil
-			m.chunkPool = m.chunkPool[:n-1]
-		} else {
-			c = &ptChunk{}
-		}
-		m.chunks[ci] = c
-		// Constructing a page-table page costs a zeroed page of table
-		// memory — charged even for a recycled chunk: in the virtual
-		// cost model the hardware still hands out a zeroed table page,
-		// and only the host-side Go allocation is being avoided.
-		m.mod.Machine().ChargeKB(m.mod.Machine().Cost.ZeroPerKB, HWPageSize)
-		m.mod.Stats().AddTableBytes(HWPageSize)
-	}
-	return c
-}
-
-// recycleChunkLocked pools an empty, fully zeroed chunk for the next
-// chunkFor create. Called with m.mu held.
-func (m *vaxMap) recycleChunkLocked(c *ptChunk) {
-	if len(m.chunkPool) < maxChunkPool {
-		m.chunkPool = append(m.chunkPool, c)
-	}
-}
-
-func (m *vaxMap) freeChunkIfEmpty(vpn uint64) {
-	ci := vpn / ptesPerChunk
-	if c := m.chunks[ci]; c != nil && c.used == 0 {
-		delete(m.chunks, ci)
-		m.mod.Stats().AddTableBytes(-HWPageSize)
-		m.recycleChunkLocked(c)
-	}
-}
-
-// updateSuperLocked re-derives the chunk's superpage status after PTE
-// changes: super exactly when every PTE is valid with one uniform
-// protection. O(1) unless the chunk is full. Called with m.mu held.
-func (m *vaxMap) updateSuperLocked(c *ptChunk) {
-	want := c.used == ptesPerChunk
-	if want {
-		p0 := c.ptes[0].prot
-		for i := 1; i < ptesPerChunk; i++ {
-			if c.ptes[i].prot != p0 {
-				want = false
-				break
-			}
-		}
-	}
-	switch {
-	case want && !c.super:
-		c.super = true
-		m.superCount++
-		m.mod.Stats().Promotions.Add(1)
-	case !want && c.super:
-		c.super = false
-		m.superCount--
-		m.mod.Stats().Demotions.Add(1)
-	}
-}
-
-// demoteLocked clears a chunk's superpage status on a partial operation
-// that is known to break it (a removal). Called with m.mu held.
-func (m *vaxMap) demoteLocked(c *ptChunk) {
-	if c.super {
-		c.super = false
-		m.superCount--
-		m.mod.Stats().Demotions.Add(1)
-	}
-}
-
-// Enter establishes one hardware mapping (pmap_enter).
-func (m *vaxMap) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired bool) {
-	if va >= MaxUserVA {
-		panic("vax: virtual address beyond the 2GB user limit")
-	}
-	mod := m.mod
-	vpn := uint64(va) / HWPageSize
-	mod.Stats().Enters.Add(1)
-	mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-
-	want := pte{pfn: pfn, prot: prot, valid: true, wired: wired}
-	m.mu.Lock()
-	c := m.chunkFor(vpn, true)
-	e := &c.ptes[vpn%ptesPerChunk]
-	if *e == want {
-		// Re-entering an identical mapping (a refault on a resident
-		// page): the PTE and every TLB copy of it are already correct,
-		// so no shootdown — and no PV update — is needed.
-		m.mu.Unlock()
-		return
-	}
-	replaced := e.valid
-	oldPFN := e.pfn
-	if !e.valid {
-		c.used++
-	}
-	*e = want
-	m.resident++
-	if replaced {
-		m.resident--
-	}
-	m.updateSuperLocked(c)
-	m.mu.Unlock()
-
-	if replaced {
-		if oldPFN != pfn {
-			mod.DB().RemovePV(oldPFN, m, va&^vmtypes.VA(HWPageSize-1))
-		}
-		mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), true)
-	}
-	mod.DB().AddPV(pfn, m, va&^vmtypes.VA(HWPageSize-1))
-}
-
-// Remove invalidates mappings in [start, end) (pmap_remove).
-func (m *vaxMap) Remove(start, end vmtypes.VA) {
-	mod := m.mod
-	mod.Stats().Removes.Add(1)
-	for vpn := uint64(start) / HWPageSize; vpn < (uint64(end)+HWPageSize-1)/HWPageSize; vpn++ {
-		m.mu.Lock()
-		c := m.chunkFor(vpn, false)
-		if c == nil {
-			// Skip the rest of an unconstructed page-table page.
-			m.mu.Unlock()
-			vpn = (vpn/ptesPerChunk+1)*ptesPerChunk - 1
-			continue
-		}
-		e := &c.ptes[vpn%ptesPerChunk]
-		if !e.valid {
-			m.mu.Unlock()
-			continue
-		}
-		pfn := e.pfn
-		*e = pte{}
-		c.used--
-		m.resident--
-		m.demoteLocked(c)
-		m.freeChunkIfEmpty(vpn)
-		m.mu.Unlock()
-
-		mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-		mod.DB().RemovePV(pfn, m, vmtypes.VA(vpn*HWPageSize))
-		mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), true)
-	}
-}
-
-// Protect reduces protection on [start, end) (pmap_protect).
-func (m *vaxMap) Protect(start, end vmtypes.VA, prot vmtypes.Prot) {
-	mod := m.mod
-	mod.Stats().Protects.Add(1)
-	for vpn := uint64(start) / HWPageSize; vpn < (uint64(end)+HWPageSize-1)/HWPageSize; vpn++ {
-		m.mu.Lock()
-		c := m.chunkFor(vpn, false)
-		if c == nil {
-			m.mu.Unlock()
-			vpn = (vpn/ptesPerChunk+1)*ptesPerChunk - 1
-			continue
-		}
-		e := &c.ptes[vpn%ptesPerChunk]
-		if !e.valid {
-			m.mu.Unlock()
-			continue
-		}
-		newProt := e.prot.Intersect(prot)
-		changed := newProt != e.prot
-		e.prot = newProt
-		if changed {
-			m.updateSuperLocked(c)
-		}
-		m.mu.Unlock()
-		if changed {
-			mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-			mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), false)
-		}
-	}
-}
-
-// Walk is the hardware translation: one extra memory reference through the
-// (simulated) linear page table.
-func (m *vaxMap) Walk(va vmtypes.VA) (vmtypes.PFN, vmtypes.Prot, bool) {
-	mod := m.mod
-	mod.Stats().Walks.Add(1)
-	mod.Machine().Charge(mod.Machine().Cost.WalkLevel)
-	vpn := uint64(va) / HWPageSize
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.chunkFor(vpn, false)
-	if c == nil {
-		mod.Stats().WalkMisses.Add(1)
-		return 0, 0, false
-	}
-	e := c.ptes[vpn%ptesPerChunk]
-	if !e.valid {
-		mod.Stats().WalkMisses.Add(1)
-		return 0, 0, false
-	}
-	return e.pfn, e.prot, true
-}
-
-// Extract returns the frame mapped at va (pmap_extract).
-func (m *vaxMap) Extract(va vmtypes.VA) (vmtypes.PFN, bool) {
-	vpn := uint64(va) / HWPageSize
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.chunkFor(vpn, false)
-	if c == nil || !c.ptes[vpn%ptesPerChunk].valid {
-		return 0, false
-	}
-	return c.ptes[vpn%ptesPerChunk].pfn, true
-}
-
-// Access reports whether va is mapped (pmap_access).
-func (m *vaxMap) Access(va vmtypes.VA) bool {
-	_, ok := m.Extract(va)
-	return ok
-}
-
-// Activate loads this map on a CPU (pmap_activate): set P0BR/P0LR.
-func (m *vaxMap) Activate(cpu *hw.CPU) {
-	m.mod.Machine().Charge(m.mod.Machine().Cost.ContextLoad)
-	m.ActivateOn(cpu)
-}
-
-// Deactivate unloads this map (pmap_deactivate). The VAX TLB is untagged,
-// so a context switch flushes the process's translations.
-func (m *vaxMap) Deactivate(cpu *hw.CPU) {
-	m.DeactivateOn(cpu)
-	m.mod.Machine().Charge(m.mod.Machine().Cost.TLBFlushAll)
-	cpu.TLB.FlushSpace(m.Space())
-}
-
-// Collect throws away all non-wired mappings and their page-table pages to
-// reclaim table space — legal because everything can be reconstructed at
-// fault time.
-func (m *vaxMap) Collect() {
-	mod := m.mod
-	mod.Stats().Collects.Add(1)
-	type victim struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
-	var victims []victim
-	m.mu.Lock()
-	for ci, c := range m.chunks {
-		for i := range c.ptes {
-			e := &c.ptes[i]
-			if e.valid && !e.wired {
-				victims = append(victims, victim{vpn: ci*ptesPerChunk + uint64(i), pfn: e.pfn})
-				*e = pte{}
-				c.used--
-				m.resident--
-			}
-		}
-		if c.super && c.used != ptesPerChunk {
-			m.demoteLocked(c)
-		}
-		if c.used == 0 {
-			delete(m.chunks, ci)
-			mod.Stats().AddTableBytes(-HWPageSize)
-			m.recycleChunkLocked(c)
-		}
-	}
-	m.mu.Unlock()
-	for _, v := range victims {
-		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
-	}
-	mod.Shootdown().InvalidateSpace(m.Space(), m.ActiveCPUs())
-}
-
-// Destroy drops a reference and frees the map when none remain
-// (pmap_destroy).
-func (m *vaxMap) Destroy() {
-	if !m.Release() {
-		return
-	}
-	mod := m.mod
-	type victim struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
-	var victims []victim
-	m.mu.Lock()
-	for ci, c := range m.chunks {
-		for i := range c.ptes {
-			if e := c.ptes[i]; e.valid {
-				victims = append(victims, victim{vpn: ci*ptesPerChunk + uint64(i), pfn: e.pfn})
-			}
-		}
-		m.demoteLocked(c)
-		delete(m.chunks, ci)
-		mod.Stats().AddTableBytes(-HWPageSize)
-	}
-	m.resident = 0
-	m.mu.Unlock()
-	for _, v := range victims {
-		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
-	}
-	mod.Shootdown().InvalidateSpace(m.Space(), m.ActiveCPUs())
-}
-
-// ResidentCount returns the number of hardware mappings held.
-func (m *vaxMap) ResidentCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.resident
-}
-
-// TablePages returns the number of constructed page-table pages — the
-// space the on-demand construction strategy is conserving.
-func (m *vaxMap) TablePages() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.chunks)
+// Create makes a new, empty VAX physical map (pmap_create).
+func (mod *Module) Create() pmap.Map {
+	vm := &vaxMap{}
+	vm.Init(&mod.TableModule, vm)
+	// Six 64KB-span page-table pages cover a 256KB region plus straddle.
+	vm.Prime(6)
+	return vm
 }
 
 // CopyMappings implements the optional pmap_copy of Table 3-4: duplicate
@@ -486,26 +142,12 @@ func (m *vaxMap) TablePages() int {
 // the child's page table and spare it a refault per resident page.
 func (m *vaxMap) CopyMappings(dst pmap.Map, dstAddr vmtypes.VA, length uint64, srcAddr vmtypes.VA) {
 	d, ok := dst.(*vaxMap)
-	if !ok || d.mod != m.mod {
+	if !ok || d.Module() != m.Module() {
 		return
 	}
-	delta := int64(dstAddr) - int64(srcAddr)
-	endVPN := (uint64(srcAddr) + length + HWPageSize - 1) / HWPageSize
-	for vpn := uint64(srcAddr) / HWPageSize; vpn < endVPN; vpn++ {
-		m.mu.Lock()
-		c := m.chunkFor(vpn, false)
-		if c == nil {
-			m.mu.Unlock()
-			vpn = (vpn/ptesPerChunk+1)*ptesPerChunk - 1
-			continue
-		}
-		e := c.ptes[vpn%ptesPerChunk]
-		m.mu.Unlock()
-		if !e.valid {
-			continue
-		}
-		dva := vmtypes.VA(int64(vpn*HWPageSize) + delta)
-		d.Enter(dva, e.pfn, e.prot.Intersect(vmtypes.ProtRead|vmtypes.ProtExecute), false)
+	end := srcAddr + vmtypes.VA(length)
+	for va, pfn, prot, ok := m.Next(srcAddr, end); ok; va, pfn, prot, ok = m.Next(va+HWPageSize, end) {
+		d.Enter(va+dstAddr-srcAddr, pfn, prot.Intersect(vmtypes.ProtRead|vmtypes.ProtExecute), false)
 	}
 }
 
@@ -513,124 +155,6 @@ func (m *vaxMap) CopyMappings(dst pmap.Map, dstAddr vmtypes.VA, length uint64, s
 // module keeps all page-table pages resident, so it has no work to do —
 // exactly the "need not perform any hardware function" case.
 func (m *vaxMap) Pageable(start, end vmtypes.VA, pageable bool) {}
-
-// EnterRange implements the optional pmap.RangeEnterer: establish a run of
-// consecutive hardware mappings with one lock hold, one promotion check,
-// and one PV pass per page-table page rather than per PTE.
-func (m *vaxMap) EnterRange(va vmtypes.VA, pfns []vmtypes.PFN, prot vmtypes.Prot, wired bool) {
-	if len(pfns) == 0 {
-		return
-	}
-	if uint64(va)%HWPageSize != 0 {
-		panic("vax: EnterRange address not hardware-page aligned")
-	}
-	if va+vmtypes.VA(len(pfns))*HWPageSize > MaxUserVA {
-		panic("vax: virtual address beyond the 2GB user limit")
-	}
-	mod := m.mod
-	mod.Stats().RangeEnters.Add(1)
-	mod.Stats().Enters.Add(uint64(len(pfns)))
-
-	type replacement struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
-	var replaced []replacement
-	startVPN := uint64(va) / HWPageSize
-	for i := 0; i < len(pfns); {
-		ci := (startVPN + uint64(i)) / ptesPerChunk
-		m.mu.Lock()
-		c := m.chunkFor(startVPN+uint64(i), true)
-		for ; i < len(pfns); i++ {
-			vpn := startVPN + uint64(i)
-			if vpn/ptesPerChunk != ci {
-				break
-			}
-			mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-			e := &c.ptes[vpn%ptesPerChunk]
-			want := pte{pfn: pfns[i], prot: prot, valid: true, wired: wired}
-			if *e == want {
-				continue
-			}
-			if e.valid {
-				replaced = append(replaced, replacement{vpn: vpn, pfn: e.pfn})
-			} else {
-				c.used++
-				m.resident++
-			}
-			*e = want
-		}
-		m.updateSuperLocked(c)
-		m.mu.Unlock()
-	}
-	for _, r := range replaced {
-		if r.pfn != pfns[r.vpn-startVPN] {
-			mod.DB().RemovePV(r.pfn, m, vmtypes.VA(r.vpn*HWPageSize))
-		}
-		mod.Shootdown().InvalidatePage(m.Space(), r.vpn, m.ActiveCPUs(), true)
-	}
-	for i, pfn := range pfns {
-		mod.DB().AddPV(pfn, m, vmtypes.VA((startVPN+uint64(i))*HWPageSize))
-	}
-}
-
-// SuperSpan returns the VAX promotion granule: one page-table page's span.
-func (m *vaxMap) SuperSpan() uint64 { return ptesPerChunk * HWPageSize }
-
-// SuperActive reports whether the chunk containing va is promoted.
-func (m *vaxMap) SuperActive(va vmtypes.VA) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.chunks[uint64(va)/HWPageSize/ptesPerChunk]
-	return c != nil && c.super
-}
-
-// SuperCount returns the number of currently promoted page-table pages.
-func (m *vaxMap) SuperCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.superCount
-}
-
-// CheckSuperInvariants verifies the bookkeeping the promotion machinery
-// relies on: each chunk's used matches its count of valid PTEs, a chunk is
-// marked super exactly when fully mapped with uniform protection, and the
-// map-wide super counter matches the marked chunks.
-func (m *vaxMap) CheckSuperInvariants() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	supers := 0
-	for ci, c := range m.chunks {
-		used := 0
-		mixed := false
-		var p0 vmtypes.Prot
-		for i := range c.ptes {
-			if !c.ptes[i].valid {
-				continue
-			}
-			if used == 0 {
-				p0 = c.ptes[i].prot
-			} else if c.ptes[i].prot != p0 {
-				mixed = true
-			}
-			used++
-		}
-		if used != c.used {
-			return fmt.Errorf("vax: chunk %d records used=%d but holds %d valid PTEs", ci, c.used, used)
-		}
-		uniform := used == ptesPerChunk && !mixed
-		if c.super != uniform {
-			return fmt.Errorf("vax: chunk %d super=%v but full-and-uniform=%v", ci, c.super, uniform)
-		}
-		if c.super {
-			supers++
-		}
-	}
-	if supers != m.superCount {
-		return fmt.Errorf("vax: superCount=%d but %d chunks are marked super", m.superCount, supers)
-	}
-	return nil
-}
 
 var (
 	_ pmap.Copier       = (*vaxMap)(nil)

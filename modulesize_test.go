@@ -1,11 +1,12 @@
 package machvm_test
 
-// TestPmapModuleSize reports the §4/§9 claim: "the size of the machine
+// TestPmapModuleSize holds the §4/§9 claim: "the size of the machine
 // dependent mapping module is approximately 6K bytes on a VAX — about the
 // size of a device driver", against thousands of lines of shared
-// machine-independent code. The test fails if any machine module grows to
-// rival the machine-independent layer, which would mean the split has
-// eroded.
+// machine-independent code. A module directory holds only what its hardware
+// does differently (the forward page table the VAX, SUN 3 and NS32082 share
+// is internal/pmap/table.go), and the test fails when one outgrows the
+// line budget: code that two machines need belongs in the shared package.
 
 import (
 	"os"
@@ -35,6 +36,9 @@ func sourceLines(t *testing.T, dir string) (lines int, bytes int) {
 	return lines, bytes
 }
 
+// maxModuleLines is the non-test line budget of one machine's directory.
+const maxModuleLines = 350
+
 func TestPmapModuleSize(t *testing.T) {
 	machines := []string{"vax", "rtpc", "sun3", "ns32082", "tlbonly"}
 	miDirs := []string{"internal/core", "internal/ipc", "internal/task", "internal/pager"}
@@ -45,14 +49,16 @@ func TestPmapModuleSize(t *testing.T) {
 		miLines += l
 	}
 	t.Logf("machine-independent layer: %d lines", miLines)
+	lines, bytes := sourceLines(t, "internal/pmap")
+	t.Logf("shared pmap package      : %4d lines, %5d bytes", lines, bytes)
 	for _, m := range machines {
 		lines, bytes := sourceLines(t, filepath.Join("internal/pmap", m))
 		t.Logf("pmap module %-8s: %4d lines, %5d bytes", m, lines, bytes)
 		if lines == 0 {
 			t.Fatalf("module %s has no sources?", m)
 		}
-		if lines*4 > miLines {
-			t.Errorf("module %s (%d lines) rivals the machine-independent layer (%d lines); the paper's split requires pmaps to stay small", m, lines, miLines)
+		if lines > maxModuleLines {
+			t.Errorf("module %s is %d lines, over the %d-line budget; the paper's split requires pmaps to stay small", m, lines, maxModuleLines)
 		}
 	}
 }
