@@ -18,8 +18,8 @@ var scalingSimCPUs = []int{1, 2, 4, 8, 16}
 // across simCPUs simulated processors and returns the virtual-time
 // makespan: the largest per-CPU share of virtual work. Execution is
 // serial on the host — each simulated CPU's share runs to completion
-// with its charge buffer flushed before the next starts — so the
-// virtual totals are exact and reproducible bit-for-bit on any host.
+// before the next starts — so the virtual totals are exact and
+// reproducible bit-for-bit on any host.
 //
 // Two variants bracket the paper's §5.2 discussion:
 //   - private: each simulated CPU faults in its own address map. There
@@ -85,7 +85,7 @@ func measureVirtualScaling(simCPUs int, shared bool) (int64, error) {
 				}
 				if shared {
 					// Quantum boundary: every CPU drains its deferred
-					// invalidation queue (and flushes its charges).
+					// invalidation queue.
 					machine.TickAll()
 				}
 				if addr, err = m.Allocate(0, regionSize, true); err != nil {
@@ -93,7 +93,6 @@ func measureVirtualScaling(simCPUs int, shared bool) (int64, error) {
 				}
 			}
 		}
-		machine.FlushAllCharges()
 		makespan = max(makespan, machine.Clock.Now()-start)
 	}
 	return makespan, nil

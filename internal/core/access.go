@@ -33,50 +33,24 @@ func (k *Kernel) AccessBytes(cpu *hw.CPU, m *Map, va vmtypes.VA, buf []byte, wri
 // AccessBytesContext is AccessBytes with caller-controlled cancellation:
 // an access stuck faulting against a slow pager returns when ctx fires.
 func (k *Kernel) AccessBytesContext(ctx context.Context, cpu *hw.CPU, m *Map, va vmtypes.VA, buf []byte, write bool) error {
-	l, top := k.traceBegin()
-	err := k.accessBytes(ctx, cpu, m, va, buf, write)
-	if l != nil {
-		if top {
-			e := trace.Event{
-				Map: m.id, CPU: -1, Addr: uint64(va),
-				Size: uint64(len(buf)), Flag: write, Err: traceErr(err),
-			}
-			if cpu != nil {
-				e.CPU = int64(cpu.ID)
-			}
-			if write {
-				e.Data = trace.FillOf(buf)
-			}
-			l.Append(k.traceEvent(trace.OpAccess, e))
-		}
-		l.EndOp()
-	}
-	return err
-}
-
-func (k *Kernel) accessBytes(ctx context.Context, cpu *hw.CPU, m *Map, va vmtypes.VA, buf []byte, write bool) error {
+	t := k.TraceOp()
 	access := vmtypes.ProtRead
 	if write {
 		access = vmtypes.ProtWrite
 	}
-	// Access completion is a batch boundary for the CPU's charge buffer:
-	// everything the TLB probes, walks and faults below accumulate
-	// locally is flushed to the global clock before returning.
-	if cpu != nil {
-		defer cpu.FlushCharges()
-	}
 	hwPage := uint64(k.machine.Mem.PageSize())
-	done := 0
-	for done < len(buf) {
+	var err error
+	for done := 0; done < len(buf); {
 		cur := uint64(va) + uint64(done)
 		inPage := int(hwPage - cur%hwPage)
 		n := len(buf) - done
 		if n > inPage {
 			n = inPage
 		}
-		frame, err := k.resolveAccess(ctx, cpu, m, vmtypes.VA(cur), access)
-		if err != nil {
-			return fmt.Errorf("%w at %#x: %w", ErrAccessFault, cur, err)
+		var frame vmtypes.PFN
+		if frame, err = k.resolveAccess(ctx, cpu, m, vmtypes.VA(cur), access); err != nil {
+			err = fmt.Errorf("%w at %#x: %w", ErrAccessFault, cur, err)
+			break
 		}
 		fb := k.machine.Mem.Frame(frame)
 		off := int(cur % hwPage)
@@ -89,7 +63,20 @@ func (k *Kernel) accessBytes(ctx context.Context, cpu *hw.CPU, m *Map, va vmtype
 		k.machine.Mem.UnlockFrame(frame)
 		done += n
 	}
-	return nil
+	if t != nil {
+		e := trace.Event{
+			Map: m.id, CPU: -1, Addr: uint64(va),
+			Size: uint64(len(buf)), Flag: write,
+		}
+		if cpu != nil {
+			e.CPU = int64(cpu.ID)
+		}
+		if write {
+			e.Data = trace.FillOf(buf)
+		}
+		t.End(trace.OpAccess, e, &err)
+	}
+	return err
 }
 
 // resolveAccess translates one access, servicing faults until it succeeds.
@@ -110,7 +97,7 @@ func (k *Kernel) resolveAccess(ctx context.Context, cpu *hw.CPU, m *Map, va vmty
 		if res.Fault == vmtypes.FaultProtection {
 			serviced = k.mod.CorrectFaultAccess(res.Reported, res.MappingProt)
 		}
-		if err := k.faultContextOn(ctx, cpu, m, va, serviced); err != nil {
+		if err := k.FaultContext(ctx, m, va, serviced); err != nil {
 			return 0, err
 		}
 	}
@@ -204,81 +191,57 @@ func (m *Map) mappingWritable(va vmtypes.VA) bool {
 // VMRead implements vm_read (Table 2-1): read the contents of a region of
 // a task's address space.
 func (k *Kernel) VMRead(m *Map, addr vmtypes.VA, size uint64) ([]byte, error) {
-	l, top := k.traceBegin()
-	buf, err := k.vmRead(m, addr, size)
-	if l != nil {
-		if top {
-			l.Append(k.traceEvent(trace.OpVMRead, trace.Event{
-				Map: m.id, Addr: uint64(addr), Size: size,
-				Ret: uint64(len(buf)), Err: traceErr(err),
-			}))
-		}
-		l.EndOp()
-	}
-	return buf, err
-}
-
-func (k *Kernel) vmRead(m *Map, addr vmtypes.VA, size uint64) ([]byte, error) {
+	t := k.TraceOp()
 	k.machine.Charge(k.machine.Cost.Syscall)
 	buf := make([]byte, size)
-	if err := k.CopyIn(m, addr, buf); err != nil {
-		return nil, err
+	err := k.CopyIn(m, addr, buf)
+	if err != nil {
+		buf = nil
 	}
-	return buf, nil
+	if t != nil {
+		t.End(trace.OpVMRead, trace.Event{
+			Map: m.id, Addr: uint64(addr), Size: size,
+			Ret: uint64(len(buf)),
+		}, &err)
+	}
+	return buf, err
 }
 
 // VMWrite implements vm_write (Table 2-1): write the contents of a region
 // of a task's address space.
 func (k *Kernel) VMWrite(m *Map, addr vmtypes.VA, data []byte) error {
-	l, top := k.traceBegin()
-	err := k.vmWrite(m, addr, data)
-	if l != nil {
-		if top {
-			l.Append(k.traceEvent(trace.OpVMWrite, trace.Event{
-				Map: m.id, Addr: uint64(addr), Size: uint64(len(data)),
-				Data: trace.FillOf(data), Err: traceErr(err),
-			}))
-		}
-		l.EndOp()
+	t := k.TraceOp()
+	k.machine.Charge(k.machine.Cost.Syscall)
+	err := k.CopyOut(m, addr, data)
+	if t != nil {
+		t.End(trace.OpVMWrite, trace.Event{
+			Map: m.id, Addr: uint64(addr), Size: uint64(len(data)),
+			Data: trace.FillOf(data),
+		}, &err)
 	}
 	return err
-}
-
-func (k *Kernel) vmWrite(m *Map, addr vmtypes.VA, data []byte) error {
-	k.machine.Charge(k.machine.Cost.Syscall)
-	return k.CopyOut(m, addr, data)
 }
 
 // Activate makes this map's address space current on cpu (pmap_activate),
 // recorded as a trace input so replay binds the same space to the same
 // CPU. Sharing and transit maps have no pmap and no-op.
 func (m *Map) Activate(cpu *hw.CPU) {
-	l, top := m.k.traceBegin()
+	t := m.k.TraceOp()
 	if m.pm != nil {
 		m.pm.Activate(cpu)
 	}
-	if l != nil {
-		if top {
-			l.Append(m.k.traceEvent(trace.OpActivate, trace.Event{
-				Map: m.id, CPU: int64(cpu.ID),
-			}))
-		}
-		l.EndOp()
+	if t != nil {
+		t.End(trace.OpActivate, trace.Event{Map: m.id, CPU: int64(cpu.ID)}, nil)
 	}
 }
 
 // Deactivate releases this map's address space from cpu (pmap_deactivate).
 func (m *Map) Deactivate(cpu *hw.CPU) {
-	l, top := m.k.traceBegin()
+	t := m.k.TraceOp()
 	if m.pm != nil {
 		m.pm.Deactivate(cpu)
 	}
-	if l != nil {
-		if top {
-			l.Append(m.k.traceEvent(trace.OpDeactivate, trace.Event{
-				Map: m.id, CPU: int64(cpu.ID),
-			}))
-		}
-		l.EndOp()
+	if t != nil {
+		t.End(trace.OpDeactivate, trace.Event{Map: m.id, CPU: int64(cpu.ID)}, nil)
 	}
 }

@@ -113,23 +113,14 @@ func (k *Kernel) writeProtectObjectRange(obj *Object, offset, size uint64) {
 // dstAddr (anywhere if requested), copy-on-write. It returns the address
 // chosen in dst. This is the engine behind both vm_copy and out-of-line
 // message data transfer.
-func (m *Map) CopyTo(dst *Map, srcAddr vmtypes.VA, size uint64, dstAddr vmtypes.VA, anywhere bool) (vmtypes.VA, error) {
-	l, top := m.k.traceBegin()
-	va, err := m.copyTo(dst, srcAddr, size, dstAddr, anywhere)
-	if l != nil {
-		if top {
-			l.Append(m.k.traceEvent(trace.OpCopyTo, trace.Event{
-				Map: m.id, Map2: dst.id, Addr: uint64(srcAddr), Size: size,
-				Addr2: uint64(dstAddr), Flag: anywhere,
-				Ret: uint64(va), Err: traceErr(err),
-			}))
+func (m *Map) CopyTo(dst *Map, srcAddr vmtypes.VA, size uint64, dstAddr vmtypes.VA, anywhere bool) (va vmtypes.VA, err error) {
+	if t := m.k.TraceOp(); t != nil {
+		e := trace.Event{
+			Map: m.id, Map2: dst.id, Addr: uint64(srcAddr), Size: size,
+			Addr2: uint64(dstAddr), Flag: anywhere,
 		}
-		l.EndOp()
+		defer func() { e.Ret = uint64(va); t.End(trace.OpCopyTo, e, &err) }()
 	}
-	return va, err
-}
-
-func (m *Map) copyTo(dst *Map, srcAddr vmtypes.VA, size uint64, dstAddr vmtypes.VA, anywhere bool) (vmtypes.VA, error) {
 	size = m.k.roundPage(size)
 	if err := m.checkRange(srcAddr, size); err != nil {
 		return 0, err
@@ -226,27 +217,18 @@ func (m *Map) copyTo(dst *Map, srcAddr vmtypes.VA, size uint64, dstAddr vmtypes.
 // address to another within the task (Table 2-1). The destination range
 // is replaced.
 func (m *Map) Copy(srcAddr vmtypes.VA, size uint64, dstAddr vmtypes.VA) error {
-	l, top := m.k.traceBegin()
-	err := m.copyRange(srcAddr, size, dstAddr)
-	if l != nil {
-		if top {
-			l.Append(m.k.traceEvent(trace.OpCopy, trace.Event{
-				Map: m.id, Addr: uint64(srcAddr), Size: size,
-				Addr2: uint64(dstAddr), Err: traceErr(err),
-			}))
-		}
-		l.EndOp()
-	}
-	return err
-}
-
-func (m *Map) copyRange(srcAddr vmtypes.VA, size uint64, dstAddr vmtypes.VA) error {
+	t := m.k.TraceOp()
 	m.k.machine.Charge(m.k.machine.Cost.Syscall)
-	size = m.k.roundPage(size)
-	if err := m.Deallocate(dstAddr, size); err != nil && err != ErrInvalidAddress {
-		return err
+	err := m.Deallocate(dstAddr, size)
+	if err == nil || err == ErrInvalidAddress {
+		_, err = m.CopyTo(m, srcAddr, size, dstAddr, false)
 	}
-	_, err := m.CopyTo(m, srcAddr, size, dstAddr, false)
+	if t != nil {
+		t.End(trace.OpCopy, trace.Event{
+			Map: m.id, Addr: uint64(srcAddr), Size: size,
+			Addr2: uint64(dstAddr),
+		}, &err)
+	}
 	return err
 }
 
@@ -255,25 +237,11 @@ func (m *Map) copyRange(srcAddr vmtypes.VA, size uint64, dstAddr vmtypes.VA) err
 // read/write through a sharing map, copy entries are copied by value with
 // copy-on-write, and none entries leave the child's range unallocated.
 func (m *Map) Fork() *Map {
-	l, top := m.k.traceBegin()
-	child := m.fork()
-	if l != nil {
-		if top {
-			l.Append(m.k.traceEvent(trace.OpFork, trace.Event{
-				Map: m.id, Ret: child.id,
-			}))
-		}
-		l.EndOp()
-	}
-	return child
-}
-
-func (m *Map) fork() *Map {
+	t := m.k.TraceOp()
 	child := m.k.NewMap()
 	m.k.machine.Charge(m.k.machine.Cost.TaskCreate)
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	for e := m.head; e != nil; e = e.next {
 		switch e.inherit {
 		case vmtypes.InheritNone:
@@ -308,6 +276,10 @@ func (m *Map) fork() *Map {
 			child.insertAfterLocked(child.tail, clone)
 			child.mu.Unlock()
 		}
+	}
+	m.mu.Unlock()
+	if t != nil {
+		t.End(trace.OpFork, trace.Event{Map: m.id, Ret: child.id}, nil)
 	}
 	return child
 }

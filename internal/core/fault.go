@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"machvm/internal/hw"
 	"machvm/internal/pmap"
 	"machvm/internal/trace"
 	"machvm/internal/vmtypes"
@@ -87,64 +86,37 @@ func (k *Kernel) Fault(m *Map, va vmtypes.VA, access vmtypes.Prot) error {
 // kernel's full pager deadline. The underlying pager conversation keeps
 // running to its own deadline and resolves the busy page either way.
 func (k *Kernel) FaultContext(ctx context.Context, m *Map, va vmtypes.VA, access vmtypes.Prot) error {
-	l, top := k.traceBegin()
-	err := k.faultContextOn(ctx, nil, m, va, access)
-	if l != nil {
-		if top {
-			l.Append(k.traceEvent(trace.OpFault, trace.Event{
-				Map: m.id, Addr: uint64(va), Arg: int64(access),
-				Err: traceErr(err),
-			}))
-		}
-		l.EndOp()
-	}
-	return err
-}
-
-// faultContextOn is the fault entry point with CPU attribution: when cpu
-// is non-nil the trap cost (and any per-CPU hardware costs charged deeper
-// in the path) accumulate in cpu's local buffer, and the fault return is
-// a batch boundary that flushes them to the global clock. A nil cpu
-// (kernel-initiated faults, vm_read/vm_write) charges the clock directly.
-func (k *Kernel) faultContextOn(ctx context.Context, cpu *hw.CPU, m *Map, va vmtypes.VA, access vmtypes.Prot) error {
-	err := k.faultRun(ctx, cpu, m, va, access)
-	// Every serviced fault is an observation the replayer must reproduce —
-	// same address, same access, same virtual-clock completion time.
-	k.traceObserve(trace.EvFault, trace.Event{
-		Map: m.id, Addr: uint64(va), Arg: int64(access), Err: traceErr(err),
-	})
-	return err
-}
-
-func (k *Kernel) faultRun(ctx context.Context, cpu *hw.CPU, m *Map, va vmtypes.VA, access vmtypes.Prot) error {
+	t := k.TraceOp()
 	// Per-fault latency is the virtual-clock delta across the whole fault.
-	// CPU-buffered charges are flushed explicitly before the closing read
-	// so they land inside the window; direct Machine charges (pager waits,
-	// frame copies) are already on the clock. Exact under the
-	// single-goroutine deterministic-world discipline; under parallel load
-	// other CPUs advance the same clock, so the recorded value includes
-	// contention — which is the latency a tenant actually observes.
+	// Exact under the single-goroutine deterministic-world discipline;
+	// under parallel load other CPUs advance the same clock, so the
+	// recorded value includes contention — which is the latency a tenant
+	// actually observes.
 	start := k.machine.Clock.Now()
 	k.stats.Faults.Add(1)
-	k.machine.ChargeOn(cpu, k.machine.Cost.FaultTrap)
+	k.machine.Charge(k.machine.Cost.FaultTrap)
 
 	pageAddr := vmtypes.VA(k.truncPage(uint64(va)))
-	err := func() error {
-		for {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("vm_fault: %w", err)
-			}
-			done, err := k.faultOnce(ctx, m, pageAddr, access)
-			if done {
-				return err
-			}
+	var done bool
+	var err error
+	for !done {
+		if err = ctx.Err(); err != nil {
+			err = fmt.Errorf("vm_fault: %w", err)
+			break
+		}
+		if done, err = k.faultOnce(ctx, m, pageAddr, access); !done {
 			k.stats.FaultRetries.Add(1)
 		}
-	}()
-	if cpu != nil {
-		cpu.FlushCharges()
 	}
 	k.faultLatency.Record(k.machine.Clock.Now() - start)
+	if t != nil {
+		// Every serviced fault is also an observation the replayer must
+		// reproduce — same address, same access, same virtual-clock
+		// completion time — whether or not it is the outermost op.
+		e := trace.Event{Map: m.id, Addr: uint64(va), Arg: int64(access), Err: traceErr(err)}
+		k.traceObserve(trace.EvFault, e)
+		t.End(trace.OpFault, e, nil)
+	}
 	return err
 }
 

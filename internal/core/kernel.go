@@ -354,9 +354,6 @@ func (k *Kernel) Module() pmap.Module { return k.mod }
 // PageSize returns the Mach page size in bytes.
 func (k *Kernel) PageSize() uint64 { return k.pageSize }
 
-// HWRatio returns the number of hardware pages per Mach page.
-func (k *Kernel) HWRatio() int { return k.hwRatio }
-
 // SetSwapPager replaces the default pager used to back internal objects at
 // pageout time (e.g. with the inode pager once a filesystem exists).
 func (k *Kernel) SetSwapPager(p Pager) { k.swap = p }

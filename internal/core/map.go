@@ -70,17 +70,8 @@ func (e *MapEntry) Span() uint64 { return uint64(e.end - e.start) }
 func (e *MapEntry) Start() vmtypes.VA { return e.start }
 func (e *MapEntry) End() vmtypes.VA   { return e.end }
 
-// Protections returns the entry's current and maximum protection.
-func (e *MapEntry) Protections() (cur, max vmtypes.Prot) { return e.prot, e.maxProt }
-
-// Inheritance returns the entry's inheritance attribute.
-func (e *MapEntry) Inheritance() vmtypes.Inherit { return e.inherit }
-
 // NeedsCopy reports the entry's copy-on-write state.
 func (e *MapEntry) NeedsCopy() bool { return e.needsCopy }
-
-// IsSubmap reports whether the entry points to a sharing map.
-func (e *MapEntry) IsSubmap() bool { return e.submap != nil }
 
 // Map is an address map (§3.2): a doubly-linked list of entries sorted by
 // ascending virtual address (range operations iterate it), doubled by a
@@ -187,11 +178,8 @@ func (k *Kernel) NewMap() *Map {
 	}
 	m.refs.Store(1)
 	m.primeEntryPool(4)
-	if l, top := k.traceBegin(); l != nil {
-		if top {
-			l.Append(k.traceEvent(trace.OpNewMap, trace.Event{Ret: id}))
-		}
-		l.EndOp()
+	if t := k.TraceOp(); t != nil {
+		t.End(trace.OpNewMap, trace.Event{Ret: id}, nil)
 	}
 	return m
 }
@@ -275,17 +263,9 @@ func (m *Map) Reference() { m.refs.Add(1) }
 // Destroy releases the map; the last release deallocates everything and
 // destroys the pmap.
 func (m *Map) Destroy() {
-	l, top := m.k.traceBegin()
-	m.destroy()
-	if l != nil {
-		if top {
-			l.Append(m.k.traceEvent(trace.OpDestroyMap, trace.Event{Map: m.id}))
-		}
-		l.EndOp()
+	if t := m.k.TraceOp(); t != nil {
+		defer t.End(trace.OpDestroyMap, trace.Event{Map: m.id}, nil)
 	}
-}
-
-func (m *Map) destroy() {
 	if m.refs.Add(-1) > 0 {
 		return
 	}
@@ -318,7 +298,7 @@ func (m *Map) destroy() {
 		m.k.releaseObject(o)
 	}
 	for _, s := range subs {
-		s.destroy()
+		s.Destroy()
 	}
 }
 
@@ -500,62 +480,46 @@ func (m *Map) checkRange(addr vmtypes.VA, size uint64) error {
 // virtual memory, either anywhere or at a specified address (Table 2-1).
 // The memory is zero-filled lazily, at fault time.
 func (m *Map) Allocate(addr vmtypes.VA, size uint64, anywhere bool) (vmtypes.VA, error) {
-	l, top := m.k.traceBegin()
-	va, err := m.allocate(addr, size, anywhere)
-	if l != nil {
-		if top {
-			l.Append(m.k.traceEvent(trace.OpAllocate, trace.Event{
-				Map: m.id, Addr: uint64(addr), Size: size, Flag: anywhere,
-				Ret: uint64(va), Err: traceErr(err),
-			}))
-		}
-		l.EndOp()
+	t := m.k.TraceOp()
+	m.k.machine.Charge(m.k.machine.Cost.Syscall)
+	m.mu.Lock()
+	va, err := m.allocateLocked(addr, m.k.roundPage(size), anywhere, nil, 0, vmtypes.ProtDefault, vmtypes.ProtAll, vmtypes.InheritCopy, false)
+	m.mu.Unlock()
+	if t != nil {
+		t.End(trace.OpAllocate, trace.Event{
+			Map: m.id, Addr: uint64(addr), Size: size, Flag: anywhere,
+			Ret: uint64(va),
+		}, &err)
 	}
 	return va, err
-}
-
-func (m *Map) allocate(addr vmtypes.VA, size uint64, anywhere bool) (vmtypes.VA, error) {
-	m.k.machine.Charge(m.k.machine.Cost.Syscall)
-	size = m.k.roundPage(size)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.allocateLocked(addr, size, anywhere, nil, 0, vmtypes.ProtDefault, vmtypes.ProtAll, vmtypes.InheritCopy, false)
 }
 
 // AllocateWithObject maps object bytes [offset, offset+size) at addr (or
 // anywhere). This is vm_allocate_with_pager (Table 3-2) generalised: the
 // object may come from any pager.
 func (m *Map) AllocateWithObject(addr vmtypes.VA, size uint64, anywhere bool, obj *Object, offset uint64, prot, maxProt vmtypes.Prot, inherit vmtypes.Inherit, copyOnWrite bool) (vmtypes.VA, error) {
-	l, top := m.k.traceBegin()
-	va, err := m.allocateWithObject(addr, size, anywhere, obj, offset, prot, maxProt, inherit, copyOnWrite)
-	if l != nil {
-		if top {
-			var objID uint64
-			if obj != nil {
-				objID = obj.ID()
-			}
-			cow := int64(0)
-			if copyOnWrite {
-				cow = 1
-			}
-			l.Append(m.k.traceEvent(trace.OpAllocObject, trace.Event{
-				Map: m.id, Obj: objID, Addr: uint64(addr), Addr2: offset,
-				Size: size, Flag: anywhere,
-				Arg: int64(prot) | int64(maxProt)<<8 | int64(inherit)<<16 | cow<<24,
-				Ret: uint64(va), Err: traceErr(err),
-			}))
+	t := m.k.TraceOp()
+	m.k.machine.Charge(m.k.machine.Cost.Syscall)
+	m.mu.Lock()
+	va, err := m.allocateLocked(addr, m.k.roundPage(size), anywhere, obj, offset, prot, maxProt, inherit, copyOnWrite)
+	m.mu.Unlock()
+	if t != nil {
+		var objID uint64
+		if obj != nil {
+			objID = obj.ID()
 		}
-		l.EndOp()
+		cow := int64(0)
+		if copyOnWrite {
+			cow = 1
+		}
+		t.End(trace.OpAllocObject, trace.Event{
+			Map: m.id, Obj: objID, Addr: uint64(addr), Addr2: offset,
+			Size: size, Flag: anywhere,
+			Arg: int64(prot) | int64(maxProt)<<8 | int64(inherit)<<16 | cow<<24,
+			Ret: uint64(va),
+		}, &err)
 	}
 	return va, err
-}
-
-func (m *Map) allocateWithObject(addr vmtypes.VA, size uint64, anywhere bool, obj *Object, offset uint64, prot, maxProt vmtypes.Prot, inherit vmtypes.Inherit, copyOnWrite bool) (vmtypes.VA, error) {
-	m.k.machine.Charge(m.k.machine.Cost.Syscall)
-	size = m.k.roundPage(size)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.allocateLocked(addr, size, anywhere, obj, offset, prot, maxProt, inherit, copyOnWrite)
 }
 
 func (m *Map) allocateLocked(addr vmtypes.VA, size uint64, anywhere bool, obj *Object, offset uint64, prot, maxProt vmtypes.Prot, inherit vmtypes.Inherit, needsCopy bool) (vmtypes.VA, error) {
@@ -598,21 +562,10 @@ func (m *Map) allocateLocked(addr vmtypes.VA, size uint64, anywhere bool, obj *O
 
 // Deallocate implements vm_deallocate: make a range of addresses no
 // longer valid (Table 2-1).
-func (m *Map) Deallocate(addr vmtypes.VA, size uint64) error {
-	l, top := m.k.traceBegin()
-	err := m.deallocate(addr, size)
-	if l != nil {
-		if top {
-			l.Append(m.k.traceEvent(trace.OpDeallocate, trace.Event{
-				Map: m.id, Addr: uint64(addr), Size: size, Err: traceErr(err),
-			}))
-		}
-		l.EndOp()
+func (m *Map) Deallocate(addr vmtypes.VA, size uint64) (err error) {
+	if t := m.k.TraceOp(); t != nil {
+		defer t.End(trace.OpDeallocate, trace.Event{Map: m.id, Addr: uint64(addr), Size: size}, &err)
 	}
-	return err
-}
-
-func (m *Map) deallocate(addr vmtypes.VA, size uint64) error {
 	m.k.machine.Charge(m.k.machine.Cost.Syscall)
 	size = m.k.roundPage(size)
 	if err := m.checkRange(addr, size); err != nil {
@@ -660,7 +613,7 @@ func (m *Map) deallocate(addr vmtypes.VA, size uint64) error {
 		m.k.releaseObject(o)
 	}
 	for _, s := range subs {
-		s.destroy()
+		s.Destroy()
 	}
 	return nil
 }
@@ -669,22 +622,12 @@ func (m *Map) deallocate(addr vmtypes.VA, size uint64) error {
 // address range (Table 2-1). If setMax is true the maximum protection is
 // lowered (it can never be raised); lowering it below the current
 // protection drags the current protection down with it.
-func (m *Map) Protect(addr vmtypes.VA, size uint64, setMax bool, prot vmtypes.Prot) error {
-	l, top := m.k.traceBegin()
-	err := m.protect(addr, size, setMax, prot)
-	if l != nil {
-		if top {
-			l.Append(m.k.traceEvent(trace.OpProtect, trace.Event{
-				Map: m.id, Addr: uint64(addr), Size: size, Flag: setMax,
-				Arg: int64(prot), Err: traceErr(err),
-			}))
-		}
-		l.EndOp()
+func (m *Map) Protect(addr vmtypes.VA, size uint64, setMax bool, prot vmtypes.Prot) (err error) {
+	if t := m.k.TraceOp(); t != nil {
+		defer t.End(trace.OpProtect, trace.Event{
+			Map: m.id, Addr: uint64(addr), Size: size, Flag: setMax, Arg: int64(prot),
+		}, &err)
 	}
-	return err
-}
-
-func (m *Map) protect(addr vmtypes.VA, size uint64, setMax bool, prot vmtypes.Prot) error {
 	m.k.machine.Charge(m.k.machine.Cost.Syscall)
 	size = m.k.roundPage(size)
 	if err := m.checkRange(addr, size); err != nil {
@@ -741,22 +684,12 @@ func (m *Map) protect(addr vmtypes.VA, size uint64, setMax bool, prot vmtypes.Pr
 
 // SetInherit implements vm_inherit: set the inheritance attribute of an
 // address range (Table 2-1).
-func (m *Map) SetInherit(addr vmtypes.VA, size uint64, inherit vmtypes.Inherit) error {
-	l, top := m.k.traceBegin()
-	err := m.setInherit(addr, size, inherit)
-	if l != nil {
-		if top {
-			l.Append(m.k.traceEvent(trace.OpInherit, trace.Event{
-				Map: m.id, Addr: uint64(addr), Size: size,
-				Arg: int64(inherit), Err: traceErr(err),
-			}))
-		}
-		l.EndOp()
+func (m *Map) SetInherit(addr vmtypes.VA, size uint64, inherit vmtypes.Inherit) (err error) {
+	if t := m.k.TraceOp(); t != nil {
+		defer t.End(trace.OpInherit, trace.Event{
+			Map: m.id, Addr: uint64(addr), Size: size, Arg: int64(inherit),
+		}, &err)
 	}
-	return err
-}
-
-func (m *Map) setInherit(addr vmtypes.VA, size uint64, inherit vmtypes.Inherit) error {
 	m.k.machine.Charge(m.k.machine.Cost.Syscall)
 	size = m.k.roundPage(size)
 	if err := m.checkRange(addr, size); err != nil {

@@ -169,9 +169,6 @@ func (o *Object) SetTier(t Tier) {
 	}
 }
 
-// RequestedTier returns the tier set with SetTier (TierAuto by default).
-func (o *Object) RequestedTier() Tier { return Tier(o.tier.Load()) }
-
 // EffectiveTier returns the placement a tiered pager should honor: the
 // explicit SetTier value when one is set, otherwise the kernel's automatic
 // verdict (TierAuto until enough reference information accumulates).
@@ -346,13 +343,6 @@ func (o *Object) SetCanPersist(v bool) {
 	o.mu.Lock()
 	o.canPersist = v
 	o.mu.Unlock()
-}
-
-// Shadow returns the object this object shadows, if any.
-func (o *Object) Shadow() *Object {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.shadow
 }
 
 // ChainLength returns the length of the shadow chain starting here
@@ -658,13 +648,10 @@ func (o *Object) CanPersist() bool {
 // ReleaseObjectRef drops one reference to the object (the public face of
 // object deallocation; maps drop their references automatically).
 func (k *Kernel) ReleaseObjectRef(o *Object) {
-	l, top := k.traceBegin()
+	t := k.TraceOp()
 	id := o.ID()
 	k.releaseObject(o)
-	if l != nil {
-		if top {
-			l.Append(k.traceEvent(trace.OpReleaseObject, trace.Event{Obj: id}))
-		}
-		l.EndOp()
+	if t != nil {
+		t.End(trace.OpReleaseObject, trace.Event{Obj: id}, nil)
 	}
 }

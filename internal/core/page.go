@@ -699,13 +699,6 @@ func (k *Kernel) copyPage(src, dst *Page) {
 	}
 }
 
-// frameBytes returns the raw bytes of one hardware frame of the Mach page.
-// Callers that may run concurrently with user accesses must bracket their
-// use with Mem.LockFrame/UnlockFrame.
-func (k *Kernel) frameBytes(p *Page, hwIndex int) []byte {
-	return k.machine.Mem.Frame(p.pfn + vmtypes.PFN(hwIndex))
-}
-
 // snapshotPage copies the Mach page's bytes into data under the per-frame
 // locks (used before handing the data to a pager).
 func (k *Kernel) snapshotPage(p *Page, data []byte) {

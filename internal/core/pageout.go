@@ -36,35 +36,28 @@ type scanFlight struct {
 // free memory is exhausted. Concurrent calls coalesce into the scan
 // already in flight and return its result.
 func (k *Kernel) PageoutScan() int {
-	l, top := k.traceBegin()
-	freed := k.pageoutScanFlight()
-	if l != nil {
-		if top {
-			l.Append(k.traceEvent(trace.OpScan, trace.Event{Ret: uint64(freed)}))
-		}
-		l.EndOp()
-	}
-	return freed
-}
-
-func (k *Kernel) pageoutScanFlight() int {
+	t := k.TraceOp()
 	k.scanMu.Lock()
-	if f := k.scanFlight; f != nil {
+	f := k.scanFlight
+	if f != nil {
 		k.scanMu.Unlock()
 		k.stats.PageoutScanJoins.Add(1)
 		<-f.done
-		return f.freed
+	} else {
+		f = &scanFlight{done: make(chan struct{})}
+		k.scanFlight = f
+		k.scanMu.Unlock()
+
+		f.freed = k.pageoutScan()
+
+		k.scanMu.Lock()
+		k.scanFlight = nil
+		k.scanMu.Unlock()
+		close(f.done)
 	}
-	f := &scanFlight{done: make(chan struct{})}
-	k.scanFlight = f
-	k.scanMu.Unlock()
-
-	f.freed = k.pageoutScan()
-
-	k.scanMu.Lock()
-	k.scanFlight = nil
-	k.scanMu.Unlock()
-	close(f.done)
+	if t != nil {
+		t.End(trace.OpScan, trace.Event{Ret: uint64(f.freed)}, nil)
+	}
 	return f.freed
 }
 
@@ -383,22 +376,11 @@ func (k *Kernel) StartPageoutDaemon(stop <-chan struct{}, interval time.Duration
 // Wire faults in and wires every page of [addr, addr+size) in the map so
 // pageout cannot touch it (used for kernel-critical buffers; the paper's
 // kernel mappings "must always be kept complete and accurate").
-func (m *Map) Wire(addr vmtypes.VA, size uint64) error {
-	l, top := m.k.traceBegin()
-	err := m.wire(addr, size)
-	if l != nil {
-		if top {
-			l.Append(m.k.traceEvent(trace.OpWire, trace.Event{
-				Map: m.id, Addr: uint64(addr), Size: size, Err: traceErr(err),
-			}))
-		}
-		l.EndOp()
-	}
-	return err
-}
-
-func (m *Map) wire(addr vmtypes.VA, size uint64) error {
+func (m *Map) Wire(addr vmtypes.VA, size uint64) (err error) {
 	k := m.k
+	if t := k.TraceOp(); t != nil {
+		defer t.End(trace.OpWire, trace.Event{Map: m.id, Addr: uint64(addr), Size: size}, &err)
+	}
 	size = k.roundPage(size)
 	if err := m.checkRange(addr, size); err != nil {
 		return err
@@ -432,22 +414,11 @@ func (m *Map) wire(addr vmtypes.VA, size uint64) error {
 }
 
 // Unwire releases wiring on [addr, addr+size).
-func (m *Map) Unwire(addr vmtypes.VA, size uint64) error {
-	l, top := m.k.traceBegin()
-	err := m.unwire(addr, size)
-	if l != nil {
-		if top {
-			l.Append(m.k.traceEvent(trace.OpUnwire, trace.Event{
-				Map: m.id, Addr: uint64(addr), Size: size, Err: traceErr(err),
-			}))
-		}
-		l.EndOp()
-	}
-	return err
-}
-
-func (m *Map) unwire(addr vmtypes.VA, size uint64) error {
+func (m *Map) Unwire(addr vmtypes.VA, size uint64) (err error) {
 	k := m.k
+	if t := k.TraceOp(); t != nil {
+		defer t.End(trace.OpUnwire, trace.Event{Map: m.id, Addr: uint64(addr), Size: size}, &err)
+	}
 	size = k.roundPage(size)
 	if err := m.checkRange(addr, size); err != nil {
 		return err

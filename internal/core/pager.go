@@ -27,6 +27,11 @@ var (
 	// retries). How it surfaces to the faulter is governed by the
 	// object's fallback policy (see PagerFallback).
 	ErrPagerTimeout = errors.New("pager: request timed out")
+
+	// ErrPagerFailed is wrapped, together with the pager's own error,
+	// into the error returned when a pager conversation kept failing
+	// until its retries ran out (inside the deadline).
+	ErrPagerFailed = errors.New("pager: request failed")
 )
 
 // Pager is the kernel-side view of a memory manager. An important feature
@@ -139,7 +144,8 @@ func (k *Kernel) PagerPolicy() PagerPolicy {
 // pagerCall runs one logical pager conversation under the kernel's policy:
 // an overall deadline spanning bounded retries with exponential backoff.
 // ErrDataUnavailable is definitive and returned as-is; exhaustion of the
-// deadline is classified as ErrPagerTimeout. The op string labels errors.
+// deadline is classified as ErrPagerTimeout, exhaustion of the retries as
+// ErrPagerFailed wrapping the last cause. The op string labels errors.
 func (k *Kernel) pagerCall(pager Pager, op string, call func(context.Context) ([]byte, error)) ([]byte, error) {
 	pol := k.PagerPolicy()
 	ctx := context.Background()
@@ -165,8 +171,8 @@ func (k *Kernel) pagerCall(pager Pager, op string, call func(context.Context) ([
 				ErrPagerTimeout, pager.Name(), op, attempt+1, err)
 		}
 		if attempt >= pol.Retries {
-			return nil, fmt.Errorf("pager %s: %s failed after %d attempt(s): %w",
-				pager.Name(), op, attempt+1, err)
+			return nil, fmt.Errorf("%w: %s %s after %d attempt(s): %w",
+				ErrPagerFailed, pager.Name(), op, attempt+1, err)
 		}
 		// Back off before the retry, still bounded by the deadline.
 		k.stats.PagerRetries.Add(1)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"machvm/internal/core"
+	"machvm/internal/pager"
 	"machvm/internal/vmtypes"
 )
 
@@ -166,6 +167,9 @@ func TestPagerRetriesExhaustedSurfaceError(t *testing.T) {
 	if errors.Is(err, core.ErrPagerTimeout) {
 		t.Fatalf("plain failure misclassified as timeout: %v", err)
 	}
+	if !errors.Is(err, core.ErrPagerFailed) {
+		t.Fatalf("exhausted retries should be typed ErrPagerFailed, got %v", err)
+	}
 	if n := pg.requestCount(); n != 2 {
 		t.Fatalf("pager saw %d requests, want 2 (1 + 1 retry)", n)
 	}
@@ -174,6 +178,30 @@ func TestPagerRetriesExhaustedSurfaceError(t *testing.T) {
 	_ = k.Touch(machine.CPU(0), m, addr, false)
 	if n := pg.requestCount(); n != 4 {
 		t.Fatalf("refault saw %d total requests, want 4", n)
+	}
+}
+
+// TestFlakyPagerFailureIsTyped: a pager that fails every request surfaces,
+// through Fault, an error that names both the kernel's verdict and the
+// pager's own cause — what server.tolerable matches on instead of the
+// error text.
+func TestFlakyPagerFailureIsTyped(t *testing.T) {
+	k, _ := newVAXKernel(t, 1)
+	k.SetPagerPolicy(core.PagerPolicy{
+		Deadline:    time.Second,
+		Retries:     1,
+		BackoffBase: time.Millisecond,
+	})
+	fp := pager.NewFlakyPager(newScriptedPager(nil))
+	fp.FailNextRequests(-1)
+	m, _, addr := mapPagerObject(t, k, fp)
+
+	err := k.Fault(m, addr, vmtypes.ProtRead)
+	if !errors.Is(err, core.ErrPagerFailed) || !errors.Is(err, pager.ErrInjected) {
+		t.Fatalf("want ErrPagerFailed wrapping ErrInjected, got %v", err)
+	}
+	if errors.Is(err, core.ErrPagerTimeout) {
+		t.Fatalf("plain failure misclassified as timeout: %v", err)
 	}
 }
 

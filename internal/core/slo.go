@@ -2,21 +2,12 @@ package core
 
 import "machvm/internal/measure"
 
-// FaultLatency exposes the kernel's per-fault virtual-latency histogram,
-// live. Percentiles read from it while faulters run are exact counts but
-// not an atomic cut; quiesce (or use SLOReport) for a stable snapshot.
-func (k *Kernel) FaultLatency() *measure.Histogram {
-	return &k.faultLatency
-}
-
 // SLOReport assembles the typed service-level snapshot the gate reporter
 // consumes: fault latency percentiles, pager health, the structural
 // invariant verdict and sustained fault throughput, all in virtual time
 // so a deterministic world yields bit-identical reports on any host.
-// Pending CPU charges are flushed first so the clock reading is final;
-// the caller should have quiesced concurrent faulters.
+// The caller should have quiesced concurrent faulters.
 func (k *Kernel) SLOReport() measure.SLOReport {
-	k.machine.FlushAllCharges()
 	snap := k.stats.Snapshot()
 	h := &k.faultLatency
 	now := k.machine.Clock.Now()

@@ -1,65 +1,23 @@
-// Package hw simulates the hardware substrate the Mach VM reproduction runs
-// on: physical memory holding real bytes, a virtual clock driven by a
-// per-architecture cost model, CPUs with private translation lookaside
-// buffers, and inter-processor interrupts.
-//
-// The paper's machine-independent claim is about software structure, so the
-// substrate's job is to recreate the *pressures* each 1987 machine put on
-// the pmap layer — TLBs that go stale, page tables that cost memory, a
-// physical address space with holes — rather than to emulate instruction
-// sets. See DESIGN.md §2 for the substitution argument.
 package hw
 
-import (
-	"sync/atomic"
-	"unsafe"
-)
+import "sync/atomic"
 
-// clockStripes is the number of independent accumulation cells. Charges
-// land on one cell chosen by the calling goroutine's stack address; Now
-// sums them all. Addition is commutative and every charge is an exact
-// integer, so the total is independent of which cell each charge landed
-// on — striping changes contention, never the virtual time.
-const clockStripes = 8
-
-// clockCell is one padded accumulator; the padding keeps adjacent cells
-// on different cache lines so concurrent charges do not false-share.
-type clockCell struct {
-	ns atomic.Int64
-	_  [56]byte
-}
-
-// Clock is the virtual clock. It advances only when components charge
-// simulated time against it, so identical workloads produce identical
-// virtual durations regardless of host speed. Internally it is striped
-// across cache-line-padded cells so that charges from different CPUs do
-// not serialize on one hot line (§5.2's shared-point argument applies to
-// the simulator itself).
+// Clock is the virtual clock: one atomic counter of nanoseconds. It
+// advances only when components charge simulated time against it, so
+// identical workloads produce identical virtual durations regardless of
+// host speed, and every charge lands when it is incurred, so the
+// difference of two reads is exactly what was charged between them.
 type Clock struct {
-	cells [clockStripes]clockCell
+	ns atomic.Int64
 }
 
-// Now returns the current virtual time in nanoseconds: the sum of every
-// stripe. The sum is exact — each Advance added its full amount to
-// exactly one stripe.
-func (c *Clock) Now() int64 {
-	var total int64
-	for i := range c.cells {
-		total += c.cells[i].ns.Load()
-	}
-	return total
-}
+// Now returns the current virtual time in nanoseconds.
+func (c *Clock) Now() int64 { return c.ns.Load() }
 
-// Advance adds d virtual nanoseconds to one stripe. Negative and zero
-// charges are ignored. The stripe is picked from the address of a stack
-// local: goroutines get stable, spread-out stacks, so repeated charges
-// from one goroutine stay on one cell while different goroutines tend to
-// use different cells.
+// Advance adds d virtual nanoseconds. Negative and zero charges are
+// ignored.
 func (c *Clock) Advance(d int64) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.ns.Add(d)
 	}
-	var probe byte
-	idx := (uintptr(unsafe.Pointer(&probe)) >> 10) % clockStripes
-	c.cells[idx].ns.Add(d)
 }

@@ -15,17 +15,6 @@ type CPU struct {
 
 	machine *Machine
 
-	// pendingNS is this CPU's local charge buffer: virtual nanoseconds
-	// accumulated since the last flush to the global clock. Batching
-	// keeps the cost model from becoming a cross-CPU contention point;
-	// the total is unchanged because every buffered nanosecond reaches
-	// the clock at a batch boundary (fault return, access return,
-	// quantum end).
-	pendingNS atomic.Int64
-	// chargedNS is the lifetime total charged through this CPU,
-	// flushed or not (observability and invariant checks).
-	chargedNS atomic.Int64
-
 	mu       sync.Mutex
 	deferred []func(*CPU)
 
@@ -37,42 +26,16 @@ type CPU struct {
 // Machine returns the machine this CPU belongs to.
 func (c *CPU) Machine() *Machine { return c.machine }
 
-// Charge accumulates d virtual nanoseconds in this CPU's local buffer
-// (or writes through to the global clock when the machine is in
-// unbatched mode). Negative and zero charges are ignored.
-func (c *CPU) Charge(d int64) {
-	if d <= 0 {
-		return
-	}
-	c.chargedNS.Add(d)
-	if c.machine.unbatched.Load() {
-		c.machine.Clock.Advance(d)
-		return
-	}
-	c.pendingNS.Add(d)
-}
+// Charge advances the virtual clock by d nanoseconds of hardware cost
+// incurred on this CPU. Unlike Machine.Charge it does not fire the charge
+// hook. Negative and zero charges are ignored.
+func (c *CPU) Charge(d int64) { c.machine.Clock.Advance(d) }
 
-// ChargeKB charges a per-kilobyte rate applied to n bytes to this CPU,
-// rounded up like Machine.ChargeKB.
+// ChargeKB charges a per-kilobyte rate applied to n bytes, rounded up
+// like Machine.ChargeKB.
 func (c *CPU) ChargeKB(perKB int64, bytes int) {
 	c.Charge(chargeKBAmount(perKB, bytes))
 }
-
-// FlushCharges drains this CPU's pending buffer into the global clock.
-// Called at batch boundaries: fault return, access completion, and the
-// timer tick (quantum end).
-func (c *CPU) FlushCharges() {
-	if d := c.pendingNS.Swap(0); d > 0 {
-		c.machine.Clock.Advance(d)
-	}
-}
-
-// PendingNS returns the not-yet-flushed charge in this CPU's buffer.
-func (c *CPU) PendingNS() int64 { return c.pendingNS.Load() }
-
-// ChargedNS returns the lifetime virtual nanoseconds charged through
-// this CPU (flushed or pending).
-func (c *CPU) ChargedNS() int64 { return c.chargedNS.Load() }
 
 // IPIsReceived returns how many inter-processor interrupts this CPU has
 // handled.
@@ -102,8 +65,7 @@ func (c *CPU) DeferredLen() int {
 }
 
 // Tick simulates a timer interrupt on this CPU: it runs and clears the
-// deferred actions, then flushes the CPU's charge buffer — the quantum
-// end is a batch boundary for per-CPU charging.
+// deferred actions.
 func (c *CPU) Tick() {
 	c.mu.Lock()
 	work := c.deferred
@@ -113,14 +75,10 @@ func (c *CPU) Tick() {
 	for _, fn := range work {
 		fn(c)
 	}
-	c.FlushCharges()
 }
 
 // interrupt delivers an IPI: the handler runs "on" this CPU immediately.
-// Interrupt return is a batch boundary — anything the handler charged to
-// this CPU reaches the global clock before the sender proceeds.
 func (c *CPU) interrupt(fn func(*CPU)) {
 	c.ipisReceived.Add(1)
 	fn(c)
-	c.FlushCharges()
 }

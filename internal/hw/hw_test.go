@@ -284,68 +284,6 @@ func TestChargeKBRoundsUp(t *testing.T) {
 	}
 }
 
-// TestCPUChargeBuffer checks the per-CPU batching protocol: charges
-// accumulate locally, reach the global clock only on flush, and the
-// totals are identical to write-through (unbatched) charging.
-func TestCPUChargeBuffer(t *testing.T) {
-	m := hw.NewMachine(hw.Config{Cost: testCost(), HWPageSize: 1024, PhysFrames: 8, CPUs: 2})
-	c0, c1 := m.CPU(0), m.CPU(1)
-	c0.Charge(100)
-	c1.ChargeKB(1000, 512)
-	if m.Clock.Now() != 0 {
-		t.Fatalf("batched charges leaked to the clock early: %d", m.Clock.Now())
-	}
-	if c0.PendingNS() != 100 || c1.PendingNS() != 500 {
-		t.Fatalf("pending = %d/%d, want 100/500", c0.PendingNS(), c1.PendingNS())
-	}
-	c0.FlushCharges()
-	if m.Clock.Now() != 100 {
-		t.Fatalf("flush of CPU 0 should advance clock to 100, got %d", m.Clock.Now())
-	}
-	m.FlushAllCharges()
-	if m.Clock.Now() != 600 {
-		t.Fatalf("FlushAllCharges total = %d, want 600", m.Clock.Now())
-	}
-	if c0.ChargedNS() != 100 || c1.ChargedNS() != 500 {
-		t.Fatalf("lifetime totals = %d/%d", c0.ChargedNS(), c1.ChargedNS())
-	}
-
-	// A timer tick is a batch boundary.
-	c0.Charge(7)
-	c0.Tick()
-	if m.Clock.Now() != 607 {
-		t.Fatalf("Tick did not flush: %d", m.Clock.Now())
-	}
-
-	// Unbatched mode writes through immediately; totals stay identical.
-	m.SetUnbatchedCharging(true)
-	c1.Charge(3)
-	if m.Clock.Now() != 610 || c1.PendingNS() != 0 {
-		t.Fatalf("unbatched charge not written through: now=%d pending=%d",
-			m.Clock.Now(), c1.PendingNS())
-	}
-	m.SetUnbatchedCharging(false)
-}
-
-// TestChargeOnNilCPU checks the nil-CPU fallback charges the global
-// clock directly.
-func TestChargeOnNilCPU(t *testing.T) {
-	m := hw.NewMachine(hw.Config{Cost: testCost(), HWPageSize: 1024, PhysFrames: 8, CPUs: 1})
-	m.ChargeOn(nil, 42)
-	m.ChargeKBOn(nil, 1000, 512)
-	if m.Clock.Now() != 542 {
-		t.Fatalf("nil-CPU charges = %d, want 542", m.Clock.Now())
-	}
-	m.ChargeOn(m.CPU(0), 8)
-	if m.Clock.Now() != 542 {
-		t.Fatal("CPU-attributed charge must stay buffered")
-	}
-	m.CPU(0).FlushCharges()
-	if m.Clock.Now() != 550 {
-		t.Fatalf("after flush = %d, want 550", m.Clock.Now())
-	}
-}
-
 func TestMachineCPUPanicsOutOfRange(t *testing.T) {
 	m := hw.NewMachine(hw.Config{Cost: testCost(), HWPageSize: 512, PhysFrames: 8, CPUs: 1})
 	defer func() {

@@ -1,3 +1,13 @@
+// Package hw simulates the hardware substrate the Mach VM reproduction runs
+// on: physical memory holding real bytes, a virtual clock driven by a
+// per-architecture cost model, CPUs with private translation lookaside
+// buffers, and inter-processor interrupts.
+//
+// The paper's machine-independent claim is about software structure, so the
+// substrate's job is to recreate the *pressures* each 1987 machine put on
+// the pmap layer — TLBs that go stale, page tables that cost memory, a
+// physical address space with holes — rather than to emulate instruction
+// sets. See DESIGN.md §2 for the substitution argument.
 package hw
 
 import (
@@ -18,18 +28,12 @@ type Machine struct {
 
 	ipisSent atomic.Uint64
 
-	// unbatched forces per-CPU charges to write through to the global
-	// clock immediately instead of accumulating in the CPU's local
-	// buffer. Both modes must produce identical virtual totals; tests
-	// flip this to prove the batching invariant.
-	unbatched atomic.Bool
-
-	// chargeHook, when set, observes direct (non-CPU-attributed) Charge
-	// and ChargeKB calls after the clock advances. The trace recorder uses
-	// it to capture driver-level charges — simulated compute time billed
-	// straight to the machine — as replayable events. Per-CPU buffered
-	// charges and their flushes are deliberately not hooked: they happen
-	// while servicing ops that are themselves recorded.
+	// chargeHook, when set, observes Machine.Charge and ChargeKB calls
+	// after the clock advances. The trace recorder uses it to capture
+	// driver-level charges — simulated compute time billed straight to
+	// the machine — as replayable events. CPU.Charge is deliberately not
+	// hooked: the hardware charges it carries (TLB probes, table walks)
+	// are made while servicing ops that are themselves recorded.
 	chargeHook atomic.Pointer[func(ns int64)]
 }
 
@@ -124,44 +128,14 @@ func chargeKBAmount(perKB int64, bytes int) int64 {
 // ChargeKB advances the clock by a per-kilobyte rate applied to n bytes,
 // rounding up so sub-1KB transfers are never free.
 func (m *Machine) ChargeKB(perKB int64, bytes int) {
-	d := chargeKBAmount(perKB, bytes)
-	m.Clock.Advance(d)
-	m.noteCharge(d)
+	m.Charge(chargeKBAmount(perKB, bytes))
 }
 
-// ChargeOn charges d nanoseconds to cpu's local buffer when cpu is
-// non-nil (batched; flushed at the next batch boundary), or directly to
-// the global clock when no CPU context is available.
-func (m *Machine) ChargeOn(cpu *CPU, d int64) {
-	if cpu != nil {
-		cpu.Charge(d)
-		return
-	}
-	m.Charge(d)
-}
-
-// ChargeKBOn is ChargeKB attributed to a CPU's local buffer (nil falls
-// back to the global clock).
-func (m *Machine) ChargeKBOn(cpu *CPU, perKB int64, bytes int) {
-	m.ChargeOn(cpu, chargeKBAmount(perKB, bytes))
-}
-
-// SetUnbatchedCharging switches per-CPU charging between batched (local
-// buffers flushed at batch boundaries) and write-through mode. Pending
-// buffers are flushed on every transition so no charge is stranded.
-func (m *Machine) SetUnbatchedCharging(on bool) {
-	m.unbatched.Store(on)
-	m.FlushAllCharges()
-}
-
-// FlushAllCharges drains every CPU's pending charge buffer into the
-// global clock. Callers that need Clock.Now() to reflect all work done
-// so far (statistics snapshots, end-of-run totals) call this first.
-func (m *Machine) FlushAllCharges() {
-	for _, c := range m.cpus {
-		c.FlushCharges()
-	}
-}
+// FlushAllCharges does nothing: charges reach the clock when they are
+// incurred. It exists only because bench/world.go, bench/w_paper.go and
+// bench/tracer.go call it and bench/ is frozen outside a benchmark PR; the
+// next benchmark PR deletes those calls and this method.
+func (m *Machine) FlushAllCharges() {}
 
 // IPI interrupts the target CPU and runs fn on it, charging the sender's
 // IPI cost. It is how a mapping change is "propagated at all costs"

@@ -106,7 +106,6 @@ func BenchmarkWorkingSetSweep(b *testing.B) {
 							touched++
 						}
 					}
-					cpu.FlushCharges()
 					virtual += machine.Clock.Now()
 					m.Destroy()
 					if tier != nil {

@@ -730,7 +730,6 @@ func TestZtierThroughputAdvantage(t *testing.T) {
 				}
 			}
 		}
-		cpu.FlushCharges()
 		st := k.VMStatistics()
 		t.Logf("ztier=%v: backingReqs=%d backingWrites=%d hits=%d misses=%d roundtrips=%d",
 			enableZtier, backing.requests.Load(), backing.writes.Load(),

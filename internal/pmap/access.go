@@ -25,9 +25,7 @@ type AccessResult struct {
 
 // Access performs one hardware access of the given type at va through
 // cpu's TLB and m's translation structures, charging costs as the real
-// machine would. Costs accumulate in cpu's local charge buffer (this is
-// a per-CPU hardware event) and reach the global clock at the caller's
-// batch boundary. It does not resolve faults — that is the
+// machine would. It does not resolve faults — that is the
 // machine-independent fault handler's job.
 func Access(mod Module, cpu *hw.CPU, m Map, va vmtypes.VA, access vmtypes.Prot) AccessResult {
 	machine := mod.Machine()

@@ -718,3 +718,32 @@ func ExampleStrategy() {
 	// deferred
 	// lazy
 }
+
+// TestClockReadIsExact: a hardware charge is on the clock when it is
+// incurred, so the difference of two clock reads around one access that
+// misses the TLB is the whole cost of that access — miss, table walk and
+// memory reference — with nothing flushed in between.
+func TestClockReadIsExact(t *testing.T) {
+	a := allArchs()[0]
+	machine, mod := newTestMachine(a, 2)
+	pm := mod.Create()
+	defer pm.Destroy()
+	cpu := machine.CPU(1)
+	pm.Activate(cpu)
+	pm.Enter(0, 7, vmtypes.ProtDefault, false)
+
+	before := machine.Clock.Now()
+	pm.Walk(0)
+	walk := machine.Clock.Now() - before
+
+	before = machine.Clock.Now()
+	res := pmap.Access(mod, cpu, pm, 0, vmtypes.ProtRead)
+	delta := machine.Clock.Now() - before
+	if res.Fault != vmtypes.FaultNone || res.TLBHit {
+		t.Fatalf("want a TLB miss resolved by the table walk, got %+v", res)
+	}
+	if want := a.cost.TLBMiss + walk + a.cost.MemAccess; delta != want {
+		t.Fatalf("clock moved %d ns across the access, want %d (TLB miss %d + walk %d + access %d)",
+			delta, want, a.cost.TLBMiss, walk, a.cost.MemAccess)
+	}
+}

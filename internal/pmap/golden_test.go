@@ -207,7 +207,6 @@ func goldenRun(a testArch, strategy pmap.Strategy) string {
 		maps[mi].Destroy()
 	}
 	mod.Update()
-	machine.FlushAllCharges()
 
 	var tlb hw.TLBStats
 	for _, cpu := range machine.CPUs() {

@@ -46,9 +46,6 @@ type Config struct {
 	// TierBudget, when positive, interposes a compressed in-memory tier
 	// of that many bytes in front of the swap pager.
 	TierBudget int64
-	// Tenants is the tenant count for multi-tenant scenarios (default 1;
-	// single-tenant scenarios ignore it).
-	Tenants int
 	// Baseline selects the 4.3bsd-style comparison system instead of the
 	// Mach stack, for scenarios that support both sides.
 	Baseline bool
@@ -65,7 +62,6 @@ func NewConfig(opts ...Option) Config {
 		DiskMB:          64,
 		NBufs:           400,
 		ObjectCacheSize: 4096,
-		Tenants:         1,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -105,9 +101,6 @@ func WithInjector(wrap func(core.Pager) core.Pager) Option {
 // WithTiering interposes a compressed in-memory tier of budget bytes in
 // front of the swap pager.
 func WithTiering(budget int64) Option { return func(c *Config) { c.TierBudget = budget } }
-
-// WithTenants sets the tenant count for multi-tenant scenarios.
-func WithTenants(n int) Option { return func(c *Config) { c.Tenants = n } }
 
 // WithBaseline selects the 4.3bsd-style comparison system.
 func WithBaseline() Option { return func(c *Config) { c.Baseline = true } }
@@ -265,7 +258,6 @@ func (r *MachRun) Kernel() *core.Kernel { return r.World.Kernel }
 func (r *MachRun) Run(ctx context.Context) (Report, error) {
 	rep, err := r.Drive(ctx, r.World)
 	w := r.World
-	w.Machine.FlushAllCharges()
 	if rep.Arch == "" {
 		rep.Arch = w.Spec.Arch.String()
 	}
@@ -358,22 +350,6 @@ func Fork(size uint64, reps int, opts ...Option) Scenario {
 		unix: func(_ context.Context, u *UnixWorld) (Report, error) {
 			ns, err := UnixFork(u, size, reps)
 			return Report{Ops: reps, Aux: map[string]int64{"ns_per_op": ns}}, err
-		},
-	}
-}
-
-// FileRead is the Table 7-1 file-read scenario: read a size-byte file
-// twice; Aux carries the cold ("first") and cached ("second") passes.
-func FileRead(size int, opts ...Option) Scenario {
-	return twoSided{
-		cfg: NewConfig(opts...),
-		mach: func(_ context.Context, w *MachWorld) (Report, error) {
-			res, err := MachFileRead(w, size)
-			return Report{Ops: 2, Aux: map[string]int64{"first": res.First, "second": res.Second}}, err
-		},
-		unix: func(_ context.Context, u *UnixWorld) (Report, error) {
-			res, err := UnixFileRead(u, size)
-			return Report{Ops: 2, Aux: map[string]int64{"first": res.First, "second": res.Second}}, err
 		},
 	}
 }

@@ -256,7 +256,8 @@ func tolerable(err error) bool {
 		errors.Is(err, pager.ErrInjected) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, context.Canceled) ||
-		strings.Contains(err.Error(), "pager") // deadline/fallback wrapping
+		errors.Is(err, core.ErrPagerTimeout) ||
+		errors.Is(err, core.ErrPagerFailed)
 }
 
 // driveCell is the shrunk server churn: one tenant image, fork/exec

@@ -78,7 +78,6 @@ func TestServerWorldRecordReplay(t *testing.T) {
 	if _, err := server.Run(context.Background(), w, smallCfg); err != nil {
 		t.Fatal(err)
 	}
-	w.Machine.FlushAllCharges()
 	tr := w.StopTrace()
 	if len(tr.Events) == 0 {
 		t.Fatal("recorded no events")

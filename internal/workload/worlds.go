@@ -168,32 +168,18 @@ func (w *MachWorld) Close() {
 // from the object cache when possible — the Mach read path. Recorded as
 // one trace input op: replay re-runs the same cache lookup / inode-pager
 // path and must land on the same object ID.
-func (w *MachWorld) FileObject(name string) (*core.Object, error) {
-	l := w.Kernel.Tracer()
-	var top bool
-	if l != nil {
-		top = l.BeginOp()
-	}
-	obj, err := w.fileObject(name)
-	if l != nil {
-		if top {
-			e := trace.Event{Kind: trace.OpFileObject, Time: w.Machine.Clock.Now(), Name: name}
+func (w *MachWorld) FileObject(name string) (obj *core.Object, err error) {
+	if t := w.Kernel.TraceOp(); t != nil {
+		defer func() {
+			e := trace.Event{Name: name}
 			if obj != nil {
 				e.Ret = obj.ID()
 			}
-			if err != nil {
-				e.Err = err.Error()
-			}
-			l.Append(e)
-		}
-		l.EndOp()
+			t.End(trace.OpFileObject, e, &err)
+		}()
 	}
-	return obj, err
-}
-
-func (w *MachWorld) fileObject(name string) (*core.Object, error) {
 	w.mu.Lock()
-	obj := w.objects[name]
+	obj = w.objects[name]
 	w.mu.Unlock()
 	if obj != nil && w.Kernel.LookupCached(obj) {
 		return obj, nil
@@ -202,8 +188,7 @@ func (w *MachWorld) fileObject(name string) (*core.Object, error) {
 		obj.Reference()
 		return obj, nil
 	}
-	obj, err := w.Inode.NewFileObject(w.Kernel, name)
-	if err != nil {
+	if obj, err = w.Inode.NewFileObject(w.Kernel, name); err != nil {
 		return nil, err
 	}
 	w.mu.Lock()
@@ -218,24 +203,11 @@ func (w *MachWorld) fileObject(name string) (*core.Object, error) {
 // writing, and those charges belong to the file-create op, not to a
 // stream of bare driver charges.
 func (w *MachWorld) CreateFile(name string, data []byte) error {
-	l := w.Kernel.Tracer()
-	var top bool
-	if l != nil {
-		top = l.BeginOp()
-	}
+	t := w.Kernel.TraceOp()
 	_, err := w.FS.Create(name, data)
-	if l != nil {
-		if top {
-			e := trace.Event{
-				Kind: trace.OpFileCreate, Time: w.Machine.Clock.Now(),
-				Name: name, Size: uint64(len(data)), Data: trace.FillOf(data),
-			}
-			if err != nil {
-				e.Err = err.Error()
-			}
-			l.Append(e)
-		}
-		l.EndOp()
+	if t != nil {
+		e := trace.Event{Name: name, Size: uint64(len(data)), Data: trace.FillOf(data)}
+		t.End(trace.OpFileCreate, e, &err)
 	}
 	return err
 }

@@ -29,9 +29,10 @@
 // DataRequest/DataWrite is bounded by a configurable deadline with retries
 // (PagerPolicy, Options.Pager), concurrent faults on one page share a
 // single pager conversation, and a pager that hangs or fails surfaces
-// ErrPagerTimeout through the fault — or degrades to zero-fill or the
-// default pager, per Object.SetPagerFallback. Thread.ReadContext/
-// WriteContext let a caller cancel an access stuck behind a slow pager.
+// ErrPagerTimeout or ErrPagerFailed through the fault — or degrades to
+// zero-fill or the default pager, per Object.SetPagerFallback.
+// Thread.ReadContext/WriteContext let a caller cancel an access stuck
+// behind a slow pager.
 //
 // See DESIGN.md for the architecture and EXPERIMENTS.md for the
 // reproduction of the paper's evaluation.
@@ -237,6 +238,10 @@ var (
 	// ErrPagerTimeout wraps errors from pager conversations that
 	// exhausted the configured deadline.
 	ErrPagerTimeout = core.ErrPagerTimeout
+	// ErrPagerFailed wraps errors from pager conversations that kept
+	// failing until their retries ran out; the pager's own error stays
+	// reachable through errors.Is.
+	ErrPagerFailed = core.ErrPagerFailed
 	// ErrDataUnavailable is a pager's definitive "no data here" answer.
 	ErrDataUnavailable = core.ErrDataUnavailable
 	// ErrInjected is the error a FlakyPager returns for injected failures.
