@@ -379,8 +379,7 @@ func (k *Kernel) faultFinish(ctx context.Context, fs *faultState) (done bool, er
 		// Safe without the shard lock: this fault owns the page's busy bit.
 		page.dirty = true
 	}
-	k.activatePage(page)
-	k.pageWakeup(page)
+	k.releasePage(page, true)
 	return true, nil
 }
 
@@ -689,10 +688,7 @@ func (k *Kernel) trySpanPromote(re pmap.RangeEnterer, fs *faultState, page *Page
 		if p == nil || p == page {
 			continue // the faulting page stays claimed by faultFinish
 		}
-		if ok {
-			k.activatePage(p) // mapped into hardware: it is in use now
-		}
-		k.pageWakeup(p)
+		k.releasePage(p, ok) // mapped into hardware: it is in use now
 	}
 	k.putClaimBuf(claimedBuf)
 }

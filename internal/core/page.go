@@ -383,18 +383,24 @@ func (k *Kernel) queueFor(id int) *lockedQueue {
 // setQueue moves p between the pageable queues (never to or from the free
 // list). The caller must hold p's shard lock, or own the page exclusively,
 // so that transitions for one page never race; only the queue's own lock
-// guards the intrusive list.
+// guards the intrusive list, and a move to the back of the queue the page is
+// already on takes it once.
 func (k *Kernel) setQueue(p *Page, id int) {
-	if q := k.queueFor(p.queue); q != nil {
-		q.mu.Lock()
-		q.q.remove(p)
-		q.mu.Unlock()
-	}
+	from, to := k.queueFor(p.queue), k.queueFor(id)
 	p.queue = id
-	if q := k.queueFor(id); q != nil {
-		q.mu.Lock()
-		q.q.pushBack(p)
-		q.mu.Unlock()
+	if from != nil {
+		from.mu.Lock()
+		from.q.remove(p)
+		if from != to {
+			from.mu.Unlock()
+		}
+	}
+	if to != nil {
+		if to != from {
+			to.mu.Lock()
+		}
+		to.q.pushBack(p)
+		to.mu.Unlock()
 	}
 }
 
@@ -604,11 +610,19 @@ func (k *Kernel) lookupPage(obj *Object, offset uint64, wait bool) *Page {
 }
 
 // pageWakeup clears busy and wakes the waiters parked on this page.
-func (k *Kernel) pageWakeup(p *Page) {
+func (k *Kernel) pageWakeup(p *Page) { k.releasePage(p, false) }
+
+// releasePage ends a busy claim. With activate — the tail of a fault that
+// entered the page into hardware — it first puts the page on the active
+// queue, under the same hold of the shard lock.
+func (k *Kernel) releasePage(p *Page, activate bool) {
 	s, obj, off := k.lockPage(p)
 	if s == nil {
 		p.busy = false
 		return
+	}
+	if activate && p.wireCount.Load() == 0 {
+		k.setQueue(p, queueActive)
 	}
 	p.busy = false
 	s.wake(pageKey{obj: obj, offset: off})

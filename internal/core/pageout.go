@@ -318,8 +318,7 @@ func (k *Kernel) finishPageoutRun(run []pageoutVictim) int {
 		}
 		obj.mu.Unlock()
 		for _, v := range run {
-			k.activatePage(v.p)
-			k.pageWakeup(v.p)
+			k.releasePage(v.p, true)
 		}
 		return 0
 	}

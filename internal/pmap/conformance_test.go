@@ -747,3 +747,246 @@ func TestClockReadIsExact(t *testing.T) {
 			delta, want, a.cost.TLBMiss, walk, a.cost.MemAccess)
 	}
 }
+
+// tableArchs are the machines whose maps are the shared pmap.Table.
+func tableArchs() (out []testArch) {
+	for _, a := range allArchs() {
+		if a.name == "vax" || a.name == "sun3" || a.name == "ns32082" {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// batchWorld is one map, active on both CPUs of its own machine, holding the
+// mappings TestBatchedMutatorsMatchPerPage changes: page numbers
+// [batchLo, batchHi) — 300 PTEs over three 128-PTE groups, nineteen on the
+// SUN 3 — with [128, 256) fully and uniformly mapped (so promoted where the
+// machine promotes) and, outside it, every seventh page a hole and every
+// fifth read-only already.
+type batchWorld struct {
+	machine *hw.Machine
+	mod     pmap.Module
+	pm      pmap.Map
+	ps      vmtypes.VA
+}
+
+const batchLo, batchHi = 40, 340
+
+func batchHole(vpn uint64) bool { return (vpn < 128 || vpn >= 256) && vpn%7 == 3 }
+
+func newBatchWorld(a testArch) *batchWorld {
+	machine, mod := newTestMachine(a, 2)
+	w := &batchWorld{machine: machine, mod: mod, pm: mod.Create(), ps: vmtypes.VA(a.hwPageSize)}
+	w.pm.Activate(machine.CPU(0))
+	w.pm.Activate(machine.CPU(1))
+	for vpn := uint64(batchLo); vpn < batchHi; vpn++ {
+		if batchHole(vpn) {
+			continue
+		}
+		prot := vmtypes.ProtDefault
+		if (vpn < 128 || vpn >= 256) && vpn%5 == 0 {
+			prot = vmtypes.ProtRead
+		}
+		w.pm.Enter(vmtypes.VA(vpn)*w.ps, vmtypes.PFN(vpn+100), prot, false)
+	}
+	return w
+}
+
+// apply runs op over [batchLo, batchHi): in one call, or a page at a time.
+func (w *batchWorld) apply(perPage bool, op func(start, end vmtypes.VA)) {
+	if !perPage {
+		op(batchLo*w.ps, batchHi*w.ps)
+		return
+	}
+	for vpn := vmtypes.VA(batchLo); vpn < batchHi; vpn++ {
+		op(vpn*w.ps, (vpn+1)*w.ps)
+	}
+}
+
+// state renders everything the two worlds must agree on. The Removes and
+// Protects counters count calls, which is the one thing that differs by
+// construction, so they are zeroed first.
+func (w *batchWorld) state(t *testing.T) string {
+	t.Helper()
+	checkSuperInvariants(t, w.pm)
+	w.mod.Stats().Removes.Store(0)
+	w.mod.Stats().Protects.Store(0)
+	out := fmt.Sprintf("clock=%d |%s |%s | ipis=%d resident=%d\n", w.machine.Clock.Now(),
+		counters(w.mod.Stats()), counters(w.mod.Shootdown().Stats()), w.machine.IPIsSent(), w.pm.ResidentCount())
+	db := w.mod.(interface{ DB() *pmap.PhysDB }).DB()
+	for vpn := uint64(batchLo - 8); vpn < batchHi+8; vpn++ {
+		va := vmtypes.VA(vpn) * w.ps
+		pfn, prot, ok := w.pm.Walk(va)
+		out += fmt.Sprintf("%d:%d/%v/%v pv=", vpn, pfn, prot, ok)
+		for _, pv := range db.AppendPVs(nil, vmtypes.PFN(vpn+100)) {
+			if pv.Map != w.pm {
+				t.Fatalf("frame %d: pv entry of a foreign map", vpn+100)
+			}
+			out += fmt.Sprintf("%d,", pv.VA/w.ps)
+		}
+		out += "\n"
+	}
+	return out
+}
+
+// TestBatchedMutatorsMatchPerPage holds the batched Protect and Remove of the
+// table machines to their one-page-at-a-time meaning: a range longer than
+// the batch, spanning several groups, with holes and unchanged PTEs in it,
+// must leave the same PTEs, pv lists, shootdown and module counters and
+// virtual clock as the same range applied a page at a time.
+func TestBatchedMutatorsMatchPerPage(t *testing.T) {
+	for _, a := range tableArchs() {
+		t.Run(a.name, func(t *testing.T) {
+			batched, perPage := newBatchWorld(a), newBatchWorld(a)
+			if got, want := batched.state(t), perPage.state(t); got != want {
+				t.Fatalf("the two worlds differ before any range operation:\n%s\nvs\n%s", got, want)
+			}
+			if n := batched.pm.ResidentCount(); n < 65 {
+				t.Fatalf("only %d PTEs in the range; the batch is 64", n)
+			}
+			steps := []struct {
+				name string
+				op   func(w *batchWorld) func(start, end vmtypes.VA)
+			}{
+				{"protect", func(w *batchWorld) func(start, end vmtypes.VA) {
+					return func(s, e vmtypes.VA) { w.pm.Protect(s, e, vmtypes.ProtRead) }
+				}},
+				{"remove", func(w *batchWorld) func(start, end vmtypes.VA) { return w.pm.Remove }},
+			}
+			for _, st := range steps {
+				batched.apply(false, st.op(batched))
+				perPage.apply(true, st.op(perPage))
+				if got, want := batched.state(t), perPage.state(t); got != want {
+					t.Fatalf("%s: one range call differs from a page at a time.\nrange:\n%s\nper page:\n%s", st.name, got, want)
+				}
+			}
+			if n := batched.pm.ResidentCount(); n != 0 {
+				t.Fatalf("%d PTEs survived Remove of the whole range", n)
+			}
+		})
+	}
+}
+
+// TestTableMutatorsRace runs the mutators against each other the way the
+// kernel does — never two on one page at once, but freely on neighbouring
+// pages of one group and neighbouring frames of one pv block: one goroutine
+// enters mappings in the first quarter of each group and marks frames
+// accessed, the other enters, protects, removes and RemoveAlls the rest of
+// each group and clears modify bits. Run under -race; afterwards the group
+// bookkeeping, PTE↔pv agreement and the modify bits must all be intact.
+func TestTableMutatorsRace(t *testing.T) {
+	for _, a := range tableArchs() {
+		t.Run(a.name, func(t *testing.T) {
+			const groups, rounds = 3, 40
+			machine, mod := newTestMachine(a, 2)
+			db := mod.(interface{ DB() *pmap.PhysDB }).DB()
+			pm := mod.Create()
+			defer pm.Destroy()
+			pm.Activate(machine.CPU(0))
+			pm.Activate(machine.CPU(1))
+			ps := vmtypes.VA(a.hwPageSize)
+			per := uint64(128)
+			if a.name == "sun3" {
+				per = 16
+			}
+			// The enterer owns page numbers with vpn%per < per/4 and the
+			// even frames; the remover owns the rest, and maps every fourth
+			// of its pages to one of the enterer's frames, so both sides
+			// work on those frames' pv lists. Odd and even frames share
+			// every pv block.
+			mine := func(vpn uint64) bool { return vpn%per < per/4 }
+			pfnOf := func(vpn uint64, round int) vmtypes.PFN {
+				if !mine(vpn) && vpn%4 == 1 {
+					vpn = vpn/per*per + vpn%(per/4)
+				}
+				pfn := vmtypes.PFN(2 * (vpn + uint64(round%2)*groups*per))
+				if !mine(vpn) {
+					pfn++
+				}
+				return pfn
+			}
+			// The top frames are only ever marked, never cleared or mapped.
+			const nkeep = 16
+			keep := a.frames - nkeep
+
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for r := 0; r < rounds; r++ {
+					for g := uint64(0); g < groups; g++ {
+						pfns := make([]vmtypes.PFN, per/4)
+						for i := range pfns {
+							pfns[i] = pfnOf(g*per+uint64(i), r)
+						}
+						if r%3 == 0 {
+							for i, pfn := range pfns {
+								pm.Enter(vmtypes.VA(g*per+uint64(i))*ps, pfn, vmtypes.ProtDefault, false)
+							}
+						} else {
+							enterRange(pm, vmtypes.VA(g*per)*ps, pfns, ps, vmtypes.ProtDefault, false)
+						}
+						for i := 0; i < nkeep; i++ {
+							mod.MarkAccess(vmtypes.PFN(keep+i), true)
+							mod.MarkAccess(pfnOf(g*per+per/2, r), true)
+						}
+					}
+				}
+			}()
+			for r := 0; r < rounds; r++ {
+				for g := uint64(0); g < groups; g++ {
+					lo, hi := g*per+per/4, (g+1)*per
+					for vpn := lo; vpn < hi; vpn++ {
+						if vpn%5 != 0 {
+							pm.Enter(vmtypes.VA(vpn)*ps, pfnOf(vpn, r), vmtypes.ProtDefault, false)
+						}
+					}
+					pm.Protect(vmtypes.VA(lo)*ps, vmtypes.VA(hi)*ps, vmtypes.ProtRead)
+					for vpn := lo; vpn < hi; vpn += 3 {
+						if pfn := pfnOf(vpn, r); pfn%2 == 1 {
+							mod.RemoveAll(pfn)
+							mod.ClearModify(pfn)
+						}
+					}
+					if r%2 == 0 {
+						pm.Remove(vmtypes.VA(lo)*ps, vmtypes.VA(hi)*ps)
+					}
+				}
+			}
+			<-done
+
+			checkSuperInvariants(t, pm)
+			for i := 0; i < nkeep; i++ {
+				if !mod.IsModified(vmtypes.PFN(keep + i)) {
+					t.Fatalf("frame %d lost its modify bit", keep+i)
+				}
+			}
+			mapped := 0
+			for vpn := uint64(0); vpn < groups*per; vpn++ {
+				va := vmtypes.VA(vpn) * ps
+				pfn, ok := pm.Extract(va)
+				if !ok {
+					continue
+				}
+				mapped++
+				found := false
+				for _, pv := range db.AppendPVs(nil, pfn) {
+					found = found || pv.Map == pm && pv.VA == va
+				}
+				if !found {
+					t.Fatalf("page %d maps frame %d, which has no pv entry for it", vpn, pfn)
+				}
+			}
+			for pfn := 0; pfn < a.frames; pfn++ {
+				for _, pv := range db.AppendPVs(nil, vmtypes.PFN(pfn)) {
+					if got, ok := pm.Extract(pv.VA); !ok || got != vmtypes.PFN(pfn) {
+						t.Fatalf("frame %d has a pv entry at page %d, which maps %d,%v", pfn, pv.VA/ps, got, ok)
+					}
+				}
+			}
+			if mapped != pm.ResidentCount() || mapped == 0 {
+				t.Fatalf("%d pages extract, ResidentCount = %d", mapped, pm.ResidentCount())
+			}
+		})
+	}
+}

@@ -71,7 +71,8 @@ func (b *ModuleBase) CopyPage(src, dst vmtypes.PFN) {
 func (b *ModuleBase) RemoveAll(pfn vmtypes.PFN) {
 	b.stats.RemoveAlls.Add(1)
 	pageSize := vmtypes.VA(b.machine.Mem.PageSize())
-	for _, pv := range b.db.PVs(pfn) {
+	var buf [4]PV
+	for _, pv := range b.db.AppendPVs(buf[:0], pfn) {
 		pv.Map.Remove(pv.VA, pv.VA+pageSize)
 	}
 }
@@ -81,7 +82,8 @@ func (b *ModuleBase) RemoveAll(pfn vmtypes.PFN) {
 func (b *ModuleBase) CopyOnWrite(pfn vmtypes.PFN) {
 	b.stats.CopyOnWrites.Add(1)
 	pageSize := vmtypes.VA(b.machine.Mem.PageSize())
-	for _, pv := range b.db.PVs(pfn) {
+	var buf [4]PV
+	for _, pv := range b.db.AppendPVs(buf[:0], pfn) {
 		pv.Map.Protect(pv.VA, pv.VA+pageSize, vmtypes.ProtRead|vmtypes.ProtExecute)
 	}
 }

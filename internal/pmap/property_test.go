@@ -188,7 +188,7 @@ func TestPhysDBPVMaintenance(t *testing.T) {
 	if db.PVCount(5) != 2 {
 		t.Fatalf("PVCount = %d; want 2", db.PVCount(5))
 	}
-	pvs := db.PVs(5)
+	pvs := db.AppendPVs(nil, 5)
 	if len(pvs) != 2 {
 		t.Fatal("PVs snapshot wrong")
 	}

@@ -140,7 +140,7 @@ func (m *rtMap) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired b
 		if oe.valid && oe.owner == m && oe.vpn == vpn {
 			oe.valid = false
 			m.resident--
-			// PhysDB has its own per-frame lock, taken inside mod.mu.
+			// PhysDB's pv lock is a leaf, taken inside mod.mu.
 			mod.DB().RemovePV(old, m, vmtypes.VA(vpn*HWPageSize))
 		}
 		delete(mod.hash, k)
@@ -272,8 +272,22 @@ func (m *rtMap) Deactivate(cpu *hw.CPU) {
 
 // Collect discards this map's non-wired inverted-table entries.
 func (m *rtMap) Collect() {
+	m.mod.Stats().Collects.Add(1)
+	m.drain(true)
+}
+
+// Destroy drops a reference and clears the map's entries when it was the
+// last one.
+func (m *rtMap) Destroy() {
+	if m.Release() {
+		m.drain(false)
+	}
+}
+
+// drain discards this map's inverted-table entries, sparing the wired ones
+// if keepWired, and flushes the space from the active CPUs.
+func (m *rtMap) drain(keepWired bool) {
 	mod := m.mod
-	mod.Stats().Collects.Add(1)
 	type victim struct {
 		pfn vmtypes.PFN
 		vpn uint64
@@ -282,42 +296,13 @@ func (m *rtMap) Collect() {
 	mod.mu.Lock()
 	for pfn := range mod.ipt {
 		e := &mod.ipt[pfn]
-		if e.valid && e.owner == m && !e.wired {
+		if e.valid && e.owner == m && !(keepWired && e.wired) {
 			victims = append(victims, victim{pfn: vmtypes.PFN(pfn), vpn: e.vpn})
 			delete(mod.hash, hashKey{space: m.Space(), vpn: e.vpn})
 			e.valid = false
 			m.resident--
 		}
 	}
-	mod.mu.Unlock()
-	for _, v := range victims {
-		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
-	}
-	mod.Shootdown().InvalidateSpace(m.Space(), m.ActiveCPUs())
-}
-
-// Destroy drops a reference and clears the map's entries when it was the
-// last one.
-func (m *rtMap) Destroy() {
-	if !m.Release() {
-		return
-	}
-	mod := m.mod
-	type victim struct {
-		pfn vmtypes.PFN
-		vpn uint64
-	}
-	var victims []victim
-	mod.mu.Lock()
-	for pfn := range mod.ipt {
-		e := &mod.ipt[pfn]
-		if e.valid && e.owner == m {
-			victims = append(victims, victim{pfn: vmtypes.PFN(pfn), vpn: e.vpn})
-			delete(mod.hash, hashKey{space: m.Space(), vpn: e.vpn})
-			e.valid = false
-		}
-	}
-	m.resident = 0
 	mod.mu.Unlock()
 	for _, v := range victims {
 		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))

@@ -238,73 +238,132 @@ func (t *Table) beyondLimit() {
 	panic(fmt.Sprintf("%s: virtual address beyond the %dMB map limit", t.mod.name, t.mod.maxVA>>20))
 }
 
+// pteRef names a PTE a mutator changed under mu and the frame it held, for
+// the pv updates and shootdowns that follow once mu is dropped. pfn is
+// noPFN when the PTE keeps its frame (nothing to forget).
+type pteRef struct {
+	vpn uint64
+	pfn vmtypes.PFN
+}
+
+const noPFN = ^vmtypes.PFN(0)
+
+// tableBatch is how many changed PTEs Remove and Protect collect per hold
+// of mu, in a buffer on their own stack.
+const tableBatch = 64
+
+// removePVs forgets the pv entries of refs, holding each block lock once per
+// run of frames it covers.
+func (t *Table) removePVs(refs []pteRef) {
+	db := t.mod.db
+	for i := 0; i < len(refs); {
+		if refs[i].pfn == noPFN {
+			i++
+			continue
+		}
+		mu := db.lockOf(refs[i].pfn)
+		mu.Lock()
+		for blk := refs[i].pfn >> pvBlockShift; i < len(refs) && refs[i].pfn>>pvBlockShift == blk; i++ {
+			db.removeLocked(refs[i].pfn, t.owner, t.pageVA(refs[i].vpn))
+		}
+		mu.Unlock()
+	}
+}
+
 // Enter establishes one hardware mapping (pmap_enter).
 func (t *Table) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired bool) {
-	mod := t.mod
-	if va >= mod.maxVA {
+	if va >= t.mod.maxVA {
 		t.beyondLimit()
 	}
-	t.checkFrame(pfn)
-	vpn := uint64(va) >> mod.pageShift
-	mod.stats.Enters.Add(1)
-	mod.machine.Charge(mod.machine.Cost.PTEOp)
+	t.enterRun(uint64(va)>>t.mod.pageShift, []vmtypes.PFN{pfn}, prot, wired, !t.mod.spec.ReenterIsNoop)
+}
 
-	want := pte{pfn: pfn, prot: prot, valid: true, wired: wired}
-	t.mu.Lock()
-	g := t.groups[vpn>>mod.groupShift]
-	if g == nil {
-		g = t.constructLocked(vpn >> mod.groupShift)
+// enterRun is the body of Enter and EnterRange: it maps pfns[i] at page
+// number vpn+i with one hold of mu and one promotion check per group, then
+// one hold of each pv block lock. A PTE found identical to the one wanted
+// is left alone — a refault on a resident page, every TLB copy already
+// correct — unless reenter is set, which makes it a replacement.
+func (t *Table) enterRun(vpn uint64, pfns []vmtypes.PFN, prot vmtypes.Prot, wired, reenter bool) {
+	mod := t.mod
+	for _, pfn := range pfns {
+		t.checkFrame(pfn)
 	}
-	e := &g.ptes[vpn&mod.groupMask]
-	if mod.spec.ReenterIsNoop && *e == want {
-		// A refault on a resident page: the PTE and every TLB copy of
-		// it are already correct.
+	mod.stats.Enters.Add(uint64(len(pfns)))
+	mod.machine.Charge(int64(len(pfns)) * mod.machine.Cost.PTEOp)
+
+	// One Mach page of replacements fits on the stack; only span
+	// promotion over live mappings spills.
+	var buf [1 << pvBlockShift]pteRef
+	replaced, changes := buf[:0], 0
+	for i := 0; i < len(pfns); {
+		gi := (vpn + uint64(i)) >> mod.groupShift
+		t.mu.Lock()
+		g := t.groups[gi]
+		if g == nil {
+			g = t.constructLocked(gi)
+		}
+		before := changes
+		for ; i < len(pfns) && (vpn+uint64(i))>>mod.groupShift == gi; i++ {
+			e := &g.ptes[(vpn+uint64(i))&mod.groupMask]
+			want := pte{pfn: pfns[i], prot: prot, valid: true, wired: wired}
+			switch {
+			case *e == want && !reenter:
+				continue
+			case !e.valid:
+				g.used++
+				t.resident++
+			case e.pfn == want.pfn:
+				replaced = append(replaced, pteRef{vpn + uint64(i), noPFN})
+			default:
+				replaced = append(replaced, pteRef{vpn + uint64(i), e.pfn})
+			}
+			*e = want
+			changes++
+		}
+		if changes != before {
+			t.updateSuperLocked(g)
+		}
 		t.mu.Unlock()
+	}
+	if changes == 0 {
 		return
 	}
-	replaced, oldPFN := e.valid, e.pfn
-	if !replaced {
-		g.used++
-		t.resident++
+	t.removePVs(replaced)
+	for _, r := range replaced {
+		mod.shooter.InvalidatePage(t.Space(), r.vpn, t.ActiveCPUs(), true)
 	}
-	*e = want
-	t.updateSuperLocked(g)
-	t.mu.Unlock()
-
-	if replaced {
-		if oldPFN != pfn {
-			mod.db.RemovePV(oldPFN, t.owner, t.pageVA(vpn))
-		}
-		mod.shooter.InvalidatePage(t.Space(), vpn, t.ActiveCPUs(), true)
-	}
-	mod.db.AddPV(pfn, t.owner, t.pageVA(vpn))
+	mod.db.AddRange(pfns, t.owner, t.pageVA(vpn), 1<<mod.pageShift)
 }
 
 // Remove invalidates mappings in [start, end) (pmap_remove).
 func (t *Table) Remove(start, end vmtypes.VA) {
 	mod := t.mod
 	mod.stats.Removes.Add(1)
-	for vpn, last := t.vpnRange(start, end); ; vpn++ {
+	var buf [tableBatch]pteRef
+	for vpn, last := t.vpnRange(start, end); vpn < last; {
+		refs := buf[:0]
 		t.mu.Lock()
-		next, g, e := t.nextLocked(vpn, last)
-		if e == nil {
-			t.mu.Unlock()
-			return
-		}
-		vpn = next
-		pfn := e.pfn
-		*e = pte{}
-		g.used--
-		t.resident--
-		t.demoteLocked(g)
-		if g.used == 0 {
-			t.releaseLocked(vpn>>mod.groupShift, g)
+		for len(refs) < len(buf) {
+			next, g, e := t.nextLocked(vpn, last)
+			if vpn = next + 1; e == nil {
+				break
+			}
+			refs = append(refs, pteRef{next, e.pfn})
+			*e = pte{}
+			g.used--
+			t.resident--
+			t.demoteLocked(g)
+			if g.used == 0 {
+				t.releaseLocked(next>>mod.groupShift, g)
+			}
 		}
 		t.mu.Unlock()
 
-		mod.machine.Charge(mod.machine.Cost.PTEOp)
-		mod.db.RemovePV(pfn, t.owner, t.pageVA(vpn))
-		mod.shooter.InvalidatePage(t.Space(), vpn, t.ActiveCPUs(), true)
+		mod.machine.Charge(int64(len(refs)) * mod.machine.Cost.PTEOp)
+		t.removePVs(refs)
+		for _, r := range refs {
+			mod.shooter.InvalidatePage(t.Space(), r.vpn, t.ActiveCPUs(), true)
+		}
 	}
 }
 
@@ -312,24 +371,27 @@ func (t *Table) Remove(start, end vmtypes.VA) {
 func (t *Table) Protect(start, end vmtypes.VA, prot vmtypes.Prot) {
 	mod := t.mod
 	mod.stats.Protects.Add(1)
-	for vpn, last := t.vpnRange(start, end); ; vpn++ {
+	var buf [tableBatch]uint64
+	for vpn, last := t.vpnRange(start, end); vpn < last; {
+		n := 0
 		t.mu.Lock()
-		next, g, e := t.nextLocked(vpn, last)
-		if e == nil {
-			t.mu.Unlock()
-			return
-		}
-		vpn = next
-		np := e.prot.Intersect(prot)
-		changed := np != e.prot
-		if changed {
-			e.prot = np
-			t.updateSuperLocked(g)
+		for n < len(buf) {
+			next, g, e := t.nextLocked(vpn, last)
+			if vpn = next + 1; e == nil {
+				break
+			}
+			if np := e.prot.Intersect(prot); np != e.prot {
+				e.prot = np
+				t.updateSuperLocked(g)
+				buf[n] = next
+				n++
+			}
 		}
 		t.mu.Unlock()
-		if changed {
-			mod.machine.Charge(mod.machine.Cost.PTEOp)
-			mod.shooter.InvalidatePage(t.Space(), vpn, t.ActiveCPUs(), false)
+
+		mod.machine.Charge(int64(n) * mod.machine.Cost.PTEOp)
+		for _, v := range buf[:n] {
+			mod.shooter.InvalidatePage(t.Space(), v, t.ActiveCPUs(), false)
 		}
 	}
 }
@@ -431,17 +493,13 @@ func (t *Table) Destroy() {
 // exited task's handle, a vacated PV slot) must not pin table memory.
 func (t *Table) Drain(keepWired bool) {
 	mod := t.mod
-	type victim struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
 	t.mu.Lock()
-	victims := make([]victim, 0, t.resident)
+	victims := make([]pteRef, 0, t.resident)
 	for gi, g := range t.groups {
 		for i := range g.ptes {
 			e := &g.ptes[i]
 			if e.valid && !(keepWired && e.wired) {
-				victims = append(victims, victim{vpn: gi<<mod.groupShift + uint64(i), pfn: e.pfn})
+				victims = append(victims, pteRef{gi<<mod.groupShift + uint64(i), e.pfn})
 				*e = pte{}
 				g.used--
 				t.resident--
@@ -458,9 +516,7 @@ func (t *Table) Drain(keepWired bool) {
 		t.pool, t.npool = [maxGroupPool]*group{}, 0
 	}
 	t.mu.Unlock()
-	for _, v := range victims {
-		mod.db.RemovePV(v.pfn, t.owner, t.pageVA(v.vpn))
-	}
+	t.removePVs(victims)
 	mod.shooter.InvalidateSpace(t.Space(), t.ActiveCPUs())
 }
 
@@ -496,53 +552,8 @@ func (t *RangeTable) EnterRange(va vmtypes.VA, pfns []vmtypes.PFN, prot vmtypes.
 	if va+vmtypes.VA(len(pfns))<<mod.pageShift > mod.maxVA {
 		t.beyondLimit()
 	}
-	for _, pfn := range pfns {
-		t.checkFrame(pfn)
-	}
+	t.enterRun(uint64(va)>>mod.pageShift, pfns, prot, wired, false)
 	mod.stats.RangeEnters.Add(1)
-	mod.stats.Enters.Add(uint64(len(pfns)))
-
-	type replacement struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
-	var replaced []replacement
-	startVPN := uint64(va) >> mod.pageShift
-	for i := 0; i < len(pfns); {
-		gi := (startVPN + uint64(i)) >> mod.groupShift
-		t.mu.Lock()
-		g := t.groups[gi]
-		if g == nil {
-			g = t.constructLocked(gi)
-		}
-		for ; i < len(pfns) && (startVPN+uint64(i))>>mod.groupShift == gi; i++ {
-			vpn := startVPN + uint64(i)
-			mod.machine.Charge(mod.machine.Cost.PTEOp)
-			e := &g.ptes[vpn&mod.groupMask]
-			want := pte{pfn: pfns[i], prot: prot, valid: true, wired: wired}
-			if *e == want {
-				continue
-			}
-			if e.valid {
-				replaced = append(replaced, replacement{vpn: vpn, pfn: e.pfn})
-			} else {
-				g.used++
-				t.resident++
-			}
-			*e = want
-		}
-		t.updateSuperLocked(g)
-		t.mu.Unlock()
-	}
-	for _, r := range replaced {
-		if r.pfn != pfns[r.vpn-startVPN] {
-			mod.db.RemovePV(r.pfn, t.owner, t.pageVA(r.vpn))
-		}
-		mod.shooter.InvalidatePage(t.Space(), r.vpn, t.ActiveCPUs(), true)
-	}
-	for i, pfn := range pfns {
-		mod.db.AddPV(pfn, t.owner, t.pageVA(startVPN+uint64(i)))
-	}
 }
 
 // SuperSpan returns the promotion granule: the span one group maps.

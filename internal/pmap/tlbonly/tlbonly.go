@@ -78,6 +78,16 @@ func (mod *Module) Create() pmap.Map {
 	return tm
 }
 
+// victim is a mapping taken out of the cache under the lock, whose pv entry
+// and TLB copies go once the lock is dropped.
+type victim struct {
+	vpn uint64
+	pfn vmtypes.PFN
+}
+
+// batch is how many pages Remove and Protect change per hold of the lock.
+const batch = 64
+
 type centry struct {
 	pfn   vmtypes.PFN
 	prot  vmtypes.Prot
@@ -125,14 +135,10 @@ func (m *tlbMap) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired 
 	mod.Stats().Enters.Add(1)
 	mod.Machine().Charge(mod.Machine().Cost.PTEOp)
 
-	type evictedEntry struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
 	// The loop below evicts at most one entry unless wired entries had
 	// pushed the cache over its bound, so one on-stack victim serves.
-	var victim [1]evictedEntry
-	evicted := victim[:0]
+	var one [1]victim
+	evicted := one[:0]
 	m.mu.Lock()
 	old, replaced := m.cache[vpn]
 	scanned := 0
@@ -148,7 +154,7 @@ func (m *tlbMap) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired 
 			m.push(v)
 		default:
 			delete(m.cache, v)
-			evicted = append(evicted, evictedEntry{vpn: v, pfn: e.pfn})
+			evicted = append(evicted, victim{vpn: v, pfn: e.pfn})
 		}
 	}
 	m.cache[vpn] = centry{pfn: pfn, prot: prot, wired: wired}
@@ -170,44 +176,52 @@ func (m *tlbMap) Enter(va vmtypes.VA, pfn vmtypes.PFN, prot vmtypes.Prot, wired 
 	mod.DB().AddPV(pfn, m, va&^vmtypes.VA(HWPageSize-1))
 }
 
-// Remove invalidates mappings in [start, end).
+// Remove invalidates mappings in [start, end), taking the lock once per
+// batch of pages rather than once per page.
 func (m *tlbMap) Remove(start, end vmtypes.VA) {
 	mod := m.mod
 	mod.Stats().Removes.Add(1)
-	for vpn := uint64(start) / HWPageSize; vpn < (uint64(end)+HWPageSize-1)/HWPageSize; vpn++ {
+	var buf [batch]victim
+	for vpn, last := uint64(start)/HWPageSize, (uint64(end)+HWPageSize-1)/HWPageSize; vpn < last; {
+		n := 0
 		m.mu.Lock()
-		e, ok := m.cache[vpn]
-		if ok {
-			delete(m.cache, vpn)
+		for ; vpn < last && n < len(buf); vpn++ {
+			if e, ok := m.cache[vpn]; ok {
+				delete(m.cache, vpn)
+				buf[n] = victim{vpn: vpn, pfn: e.pfn}
+				n++
+			}
 		}
 		m.mu.Unlock()
-		if !ok {
-			continue
+		mod.Machine().Charge(int64(n) * mod.Machine().Cost.PTEOp)
+		for _, v := range buf[:n] {
+			mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
+			mod.Shootdown().InvalidatePage(m.Space(), v.vpn, m.ActiveCPUs(), true)
 		}
-		mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-		mod.DB().RemovePV(e.pfn, m, vmtypes.VA(vpn*HWPageSize))
-		mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), true)
 	}
 }
 
-// Protect reduces protection on [start, end).
+// Protect reduces protection on [start, end), batched like Remove.
 func (m *tlbMap) Protect(start, end vmtypes.VA, prot vmtypes.Prot) {
 	mod := m.mod
 	mod.Stats().Protects.Add(1)
-	for vpn := uint64(start) / HWPageSize; vpn < (uint64(end)+HWPageSize-1)/HWPageSize; vpn++ {
+	var buf [batch]uint64
+	for vpn, last := uint64(start)/HWPageSize, (uint64(end)+HWPageSize-1)/HWPageSize; vpn < last; {
+		n := 0
 		m.mu.Lock()
-		e, ok := m.cache[vpn]
-		changed := false
-		if ok {
-			np := e.prot.Intersect(prot)
-			changed = np != e.prot
-			e.prot = np
-			m.cache[vpn] = e
+		for ; vpn < last && n < len(buf); vpn++ {
+			e, ok := m.cache[vpn]
+			if np := e.prot.Intersect(prot); ok && np != e.prot {
+				e.prot = np
+				m.cache[vpn] = e
+				buf[n] = vpn
+				n++
+			}
 		}
 		m.mu.Unlock()
-		if changed {
-			mod.Machine().Charge(mod.Machine().Cost.PTEOp)
-			mod.Shootdown().InvalidatePage(m.Space(), vpn, m.ActiveCPUs(), false)
+		mod.Machine().Charge(int64(n) * mod.Machine().Cost.PTEOp)
+		for _, v := range buf[:n] {
+			mod.Shootdown().InvalidatePage(m.Space(), v, m.ActiveCPUs(), false)
 		}
 	}
 }
@@ -261,44 +275,32 @@ func (m *tlbMap) Deactivate(cpu *hw.CPU) {
 
 // Collect empties the refill cache of non-wired entries.
 func (m *tlbMap) Collect() {
-	mod := m.mod
-	mod.Stats().Collects.Add(1)
-	type victim struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
-	var victims []victim
-	m.mu.Lock()
-	for vpn, e := range m.cache {
-		if !e.wired {
-			victims = append(victims, victim{vpn: vpn, pfn: e.pfn})
-			delete(m.cache, vpn)
-		}
-	}
-	m.mu.Unlock()
-	for _, v := range victims {
-		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
-	}
-	mod.Shootdown().InvalidateSpace(m.Space(), m.ActiveCPUs())
+	m.mod.Stats().Collects.Add(1)
+	m.drain(true)
 }
 
 // Destroy drops a reference and frees everything when it was the last.
 func (m *tlbMap) Destroy() {
-	if !m.Release() {
-		return
+	if m.Release() {
+		m.drain(false)
 	}
+}
+
+// drain empties the refill cache, sparing wired entries if keepWired, and
+// flushes the space from the active CPUs.
+func (m *tlbMap) drain(keepWired bool) {
 	mod := m.mod
-	type victim struct {
-		vpn uint64
-		pfn vmtypes.PFN
-	}
 	var victims []victim
 	m.mu.Lock()
 	for vpn, e := range m.cache {
-		victims = append(victims, victim{vpn: vpn, pfn: e.pfn})
-		delete(m.cache, vpn)
+		if !(keepWired && e.wired) {
+			victims = append(victims, victim{vpn: vpn, pfn: e.pfn})
+			delete(m.cache, vpn)
+		}
 	}
-	m.fifo, m.head, m.count = nil, 0, 0
+	if !keepWired {
+		m.fifo, m.head, m.count = nil, 0, 0
+	}
 	m.mu.Unlock()
 	for _, v := range victims {
 		mod.DB().RemovePV(v.pfn, m, vmtypes.VA(v.vpn*HWPageSize))
