@@ -494,7 +494,7 @@ func (k *Kernel) copyUpPage(first *Object, offset uint64, sharedFront bool, page
 // holders refault and still reach the original).
 //
 // Every page this function returns is busy-claimed by the caller (claimed
-// by lookupPage on a resident hit, freshly allocated otherwise); the
+// by claimPageOrFlight on a resident hit, freshly allocated otherwise); the
 // caller releases the claim with pageWakeup once the mapping is entered.
 //
 // The walk runs with no map lock held and needs no guard against a
@@ -612,10 +612,10 @@ restart:
 // blocking: nil if no page is resident or it is busy or absent. Used by
 // span promotion, which must never wait behind another fault.
 func (k *Kernel) tryClaimResident(obj *Object, offset uint64) *Page {
-	s := k.shardFor(obj, offset)
-	key := pageKey{obj: obj, offset: offset}
+	h := pageHash(obj, offset)
+	s := k.shardOf(h)
 	s.mu.Lock()
-	p := s.pages[key]
+	p := s.lookup(h, obj, offset)
 	if p == nil || p.busy || p.absent {
 		s.mu.Unlock()
 		return nil

@@ -117,22 +117,26 @@ func (k *Kernel) CheckInvariants() []string {
 	bad := func(format string, args ...any) {
 		v = append(v, "kernel: "+fmt.Sprintf(format, args...))
 	}
-	// Every hashed page's identity agrees with its key, shard by shard.
+	// Every hashed page has an identity and sits in the shard and bucket
+	// that identity hashes to.
 	seen := map[*Object]int{}
 	hashed := 0
 	for i := range k.shards {
 		s := &k.shards[i]
 		s.mu.Lock()
-		for key, p := range s.pages {
-			obj, off, _, ok := p.identity()
-			if !ok || obj != key.obj || off != key.offset {
-				bad("hash entry disagrees with page identity")
+		for b := range s.buckets {
+			for p := s.buckets[b]; p != nil; p = p.hashNext {
+				obj, off, _, ok := p.identity()
+				if !ok {
+					bad("hashed page has no identity")
+					continue
+				}
+				if h := pageHash(obj, off); k.shardOf(h) != s || s.bucket(h) != &s.buckets[b] {
+					bad("page hashed into the wrong shard or bucket")
+				}
+				seen[obj]++
+				hashed++
 			}
-			if k.shardFor(key.obj, key.offset) != s {
-				bad("page hashed into the wrong shard")
-			}
-			seen[obj]++
-			hashed++
 		}
 		s.mu.Unlock()
 	}
@@ -145,6 +149,9 @@ func (k *Kernel) CheckInvariants() []string {
 		}
 		if p.wireCount.Load() > 0 && p.queue != queueNone {
 			bad("wired page on a pageable queue")
+		}
+		if p.flight.Load() != nil && !(p.busy && p.absent) {
+			bad("page names a pager flight but is not busy and absent")
 		}
 	}
 	if counts[queueActive] != k.ActiveCount() {

@@ -74,14 +74,9 @@ type Kernel struct {
 	swap Pager
 
 	// pagerPolicy bounds every kernel→pager conversation (deadline,
-	// retries, backoff). flights is the single-flight table of in-progress
-	// DataRequest conversations, keyed like the resident page table;
-	// flightMu is a leaf lock (never held while taking a shard or object
-	// lock).
-	pagerPolicyMu sync.Mutex
-	pagerPolicy   PagerPolicy
-	flightMu      sync.Mutex
-	flights       map[pageKey]*pagerFlight
+	// retries, backoff): loaded once per conversation, replaced whole and
+	// already normalized by SetPagerPolicy.
+	pagerPolicy atomic.Pointer[PagerPolicy]
 
 	// pageBufs recycles page-sized staging buffers for pageout and
 	// clean requests. Safe because no Pager retains the DataWrite slice
@@ -237,17 +232,20 @@ func NewKernel(cfg Config) (*Kernel, error) {
 		pageSize:    uint64(pageSize),
 		hwRatio:     pageSize / hwPage,
 		pageoutWake: make(chan struct{}, 1),
-		pagerPolicy: cfg.Pager.normalize(),
-		flights:     make(map[pageKey]*pagerFlight),
+	}
+	k.SetPagerPolicy(cfg.Pager)
+	k.initResidentPages()
+	// The object/offset hash is sized once, here: at least two buckets per
+	// resident page across the shards, so chains stay short however the
+	// pages end up distributed.
+	buckets := 1
+	for buckets*numPageShards < 2*len(k.pages) {
+		buckets *= 2
 	}
 	for i := range k.shards {
-		// Size hints keep the first faults from growing the hash
-		// incrementally: bucket growth is an allocation the steady
-		// state never sees.
-		k.shards[i].pages = make(map[pageKey]*Page, 32)
+		k.shards[i].buckets = make([]*Page, buckets)
 		k.shards[i].waiters = make(map[pageKey]chan struct{}, 4)
 	}
-	k.initResidentPages()
 	k.prewarmPools()
 	if cfg.FreeTarget > 0 {
 		k.freeTarget = cfg.FreeTarget

@@ -510,10 +510,11 @@ func (k *Kernel) collapseShadow(front *Object) {
 			newOffset := int64(off) - int64(shadowOffset)
 			moved := false
 			if newOffset >= 0 && uint64(newOffset) < front.size {
-				d := k.shardFor(front, uint64(newOffset))
+				h := pageHash(front, uint64(newOffset))
+				d := k.shardOf(h)
 				d.mu.Lock()
-				if d.pages[pageKey{obj: front, offset: uint64(newOffset)}] == nil {
-					k.insertPageLocked(d, p, front, uint64(newOffset))
+				if d.lookup(h, front, uint64(newOffset)) == nil {
+					k.insertPageLocked(d, h, p, front, uint64(newOffset))
 					moved = true
 				}
 				d.mu.Unlock()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -49,6 +48,16 @@ type Page struct {
 
 	// Memory-object list links, guarded by the owning object's mutex.
 	objPrev, objNext *Page
+
+	// hashNext chains the pages of one object/offset hash bucket (§3.1),
+	// guarded by the shard lock of the page's identity.
+	hashNext *Page
+
+	// flight names the pager conversation that owns this busy absent
+	// page, for a faulter that finds the page to join. The flight's leader
+	// sets it (owning the busy bit, not the shard lock — hence atomic) and
+	// clears it before any page of the flight is released.
+	flight atomic.Pointer[pagerFlight]
 
 	// queue names the allocation queue holding the page. Transitions are
 	// serialized by the shard lock of the page's identity (free-list
@@ -144,18 +153,65 @@ type pageKey struct {
 }
 
 // numPageShards stripes the object/offset hash and the page-state locks so
-// faults on unrelated objects never contend. Power of two.
-const numPageShards = 64
+// faults on unrelated objects never contend.
+const (
+	pageShardBits = 6
+	numPageShards = 1 << pageShardBits
+)
 
 // pageShard is one stripe of the resident page table: a slice of the
 // object/offset hash (§3.1: "fast lookup of a physical page associated
 // with an object/offset at the time of a page fault") plus per-key wait
 // channels for busy pages, so a fault blocked on one busy page never wakes
-// faulters waiting on an unrelated one.
+// faulters waiting on an unrelated one. The hash is the paper's: buckets
+// chained through the page entries themselves (Page.hashNext), a power of
+// two of them sized once at boot for a load factor of at most ½, so a
+// lookup, insert or remove never allocates and never rehashes.
 type pageShard struct {
 	mu      sync.Mutex
-	pages   map[pageKey]*Page
+	buckets []*Page
 	waiters map[pageKey]chan struct{}
+}
+
+// pageHash hashes an (object, offset) identity. Its low pageShardBits pick
+// the shard (and the free-page magazine); the bits above pick the bucket.
+func pageHash(obj *Object, offset uint64) uint64 {
+	h := obj.generation.Load() * 0x9e3779b97f4a7c15
+	h ^= (offset >> 12) * 0xbf58476d1ce4e5b9
+	return h ^ h>>29
+}
+
+// bucket returns the head of the chain h falls in.
+func (s *pageShard) bucket(h uint64) **Page {
+	return &s.buckets[(h>>pageShardBits)&uint64(len(s.buckets)-1)]
+}
+
+// lookup returns the page hashed at (obj, offset), h being their pageHash.
+// The shard lock must be held, as for insert and remove.
+func (s *pageShard) lookup(h uint64, obj *Object, offset uint64) *Page {
+	for p := *s.bucket(h); p != nil; p = p.hashNext {
+		if p.identObj.Load() == obj && p.identOff.Load() == offset {
+			return p
+		}
+	}
+	return nil
+}
+
+// insert links p, whose identity hashes to h, at the head of its bucket.
+func (s *pageShard) insert(h uint64, p *Page) {
+	b := s.bucket(h)
+	p.hashNext = *b
+	*b = p
+}
+
+// remove unlinks p from the bucket h names.
+func (s *pageShard) remove(h uint64, p *Page) {
+	for b := s.bucket(h); *b != nil; b = &(*b).hashNext {
+		if *b == p {
+			*b, p.hashNext = p.hashNext, nil
+			return
+		}
+	}
 }
 
 // waitChan returns the channel that will be closed when the page at key is
@@ -178,18 +234,13 @@ func (s *pageShard) wake(key pageKey) {
 	}
 }
 
-// shardIndexFor returns the index of the shard owning (obj, offset); the
+// shardOf returns the shard owning the identity that hashes to h; the
 // free-page magazine with the same index serves allocations for it.
-func (k *Kernel) shardIndexFor(obj *Object, offset uint64) int {
-	h := obj.generation.Load() * 0x9e3779b97f4a7c15
-	h ^= (offset >> 12) * 0xbf58476d1ce4e5b9
-	h ^= h >> 29
-	return int(h & (numPageShards - 1))
-}
+func (k *Kernel) shardOf(h uint64) *pageShard { return &k.shards[h&(numPageShards-1)] }
 
 // shardFor returns the shard owning (obj, offset).
 func (k *Kernel) shardFor(obj *Object, offset uint64) *pageShard {
-	return &k.shards[k.shardIndexFor(obj, offset)]
+	return k.shardOf(pageHash(obj, offset))
 }
 
 // lockPage locks the shard guarding p's current identity and returns it
@@ -469,22 +520,22 @@ func (k *Kernel) detachAndFree(p *Page) {
 // faulter installed a page at (obj, offset) first; the returned page is
 // that one, and the caller should rewalk rather than fill it.
 func (k *Kernel) allocPage(obj *Object, offset uint64) (*Page, bool, error) {
-	mag := k.shardIndexFor(obj, offset)
-	p, err := k.grabFreePage(mag)
+	h := pageHash(obj, offset)
+	p, err := k.grabFreePage(int(h & (numPageShards - 1)))
 	if err != nil {
 		return nil, false, err
 	}
 	obj.mu.Lock()
-	s := &k.shards[mag]
+	s := k.shardOf(h)
 	s.mu.Lock()
-	if existing := s.pages[pageKey{obj: obj, offset: offset}]; existing != nil {
+	if existing := s.lookup(h, obj, offset); existing != nil {
 		s.mu.Unlock()
 		obj.mu.Unlock()
 		k.releaseFreePage(p)
 		k.stats.AllocRaces.Add(1)
 		return existing, false, nil
 	}
-	k.insertPageLocked(s, p, obj, offset)
+	k.insertPageLocked(s, h, p, obj, offset)
 	s.mu.Unlock()
 	obj.mu.Unlock()
 	if k.FreeCount() < k.freeMin {
@@ -496,15 +547,12 @@ func (k *Kernel) allocPage(obj *Object, offset uint64) (*Page, bool, error) {
 }
 
 // insertPageLocked links p into obj's resident list and the hash. The
-// caller holds obj's lock and the shard lock for (obj, offset).
-func (k *Kernel) insertPageLocked(s *pageShard, p *Page, obj *Object, offset uint64) {
-	key := pageKey{obj: obj, offset: offset}
-	if s.pages[key] != nil {
-		panic(fmt.Sprintf("core: duplicate resident page for object %p offset %d", obj, offset))
-	}
+// caller holds obj's lock and the shard lock for (obj, offset), has just
+// looked the identity up under them and found nothing; h is its pageHash.
+func (k *Kernel) insertPageLocked(s *pageShard, h uint64, p *Page, obj *Object, offset uint64) {
 	p.setIdentity(obj, offset)
-	p.mag = uint8(k.shardIndexFor(obj, offset))
-	s.pages[key] = p
+	p.mag = uint8(h & (numPageShards - 1))
+	s.insert(h, p)
 	// Object list: push front (cheap; order is not semantic).
 	p.objNext = obj.pageList
 	p.objPrev = nil
@@ -527,7 +575,7 @@ func (k *Kernel) removePageLocked(s *pageShard, p *Page) {
 		return
 	}
 	key := pageKey{obj: obj, offset: p.identOff.Load()}
-	delete(s.pages, key)
+	s.remove(pageHash(obj, key.offset), p)
 	s.wake(key)
 	p.clearIdentity()
 	if p.objPrev != nil {
@@ -579,34 +627,15 @@ func (k *Kernel) freePageObjLocked(p *Page) {
 	k.detachAndFree(p)
 }
 
-// lookupPage finds the resident page for (obj, offset) via the sharded
-// hash. With wait=true it waits for a busy page (on a per-key channel, so
-// completion of an unrelated page never wakes this faulter) and returns
-// the page busy-claimed: the caller owns it until pageWakeup, which is
-// what keeps the pageout daemon from freeing a page between fault lookup
-// and hardware-mapping entry. With wait=false the page is returned as-is,
+// lookupPage returns the resident page for (obj, offset) as it is:
 // unclaimed, possibly busy.
-func (k *Kernel) lookupPage(obj *Object, offset uint64, wait bool) *Page {
-	s := k.shardFor(obj, offset)
-	key := pageKey{obj: obj, offset: offset}
+func (k *Kernel) lookupPage(obj *Object, offset uint64) *Page {
+	h := pageHash(obj, offset)
+	s := k.shardOf(h)
 	s.mu.Lock()
-	for {
-		p := s.pages[key]
-		if p == nil || !wait {
-			s.mu.Unlock()
-			return p
-		}
-		if !p.busy {
-			p.busy = true
-			s.mu.Unlock()
-			return p
-		}
-		k.stats.BusyWaits.Add(1)
-		ch := s.waitChan(key)
-		s.mu.Unlock()
-		<-ch
-		s.mu.Lock()
-	}
+	p := s.lookup(h, obj, offset)
+	s.mu.Unlock()
+	return p
 }
 
 // pageWakeup clears busy and wakes the waiters parked on this page.

@@ -474,7 +474,7 @@ func (m *Map) residentPageAt(va vmtypes.VA) *Page {
 	// Walk the shadow chain without side effects.
 	curOffset := k.truncPage(offset)
 	for cur := obj; cur != nil; {
-		if p := k.lookupPage(cur, curOffset, false); p != nil {
+		if p := k.lookupPage(cur, curOffset); p != nil {
 			return p
 		}
 		cur.mu.Lock()

@@ -71,7 +71,7 @@ type orderCheckPager struct {
 }
 
 func (p *orderCheckPager) DataWrite(ctx context.Context, obj *Object, offset uint64, data []byte) error {
-	if pg := p.k.lookupPage(obj, offset, false); pg != nil {
+	if pg := p.k.lookupPage(obj, offset); pg != nil {
 		if p.mod.pending(pg.pfn, p.k.hwRatio) {
 			p.mu.Lock()
 			p.violations = append(p.violations,

@@ -129,30 +129,26 @@ func (p PagerPolicy) normalize() PagerPolicy {
 // normalizes defaults exactly as Config.Pager does). Calls already in
 // flight keep the policy they started with.
 func (k *Kernel) SetPagerPolicy(p PagerPolicy) {
-	k.pagerPolicyMu.Lock()
-	k.pagerPolicy = p.normalize()
-	k.pagerPolicyMu.Unlock()
+	p = p.normalize()
+	k.pagerPolicy.Store(&p)
 }
 
 // PagerPolicy returns the kernel's current pager policy.
-func (k *Kernel) PagerPolicy() PagerPolicy {
-	k.pagerPolicyMu.Lock()
-	defer k.pagerPolicyMu.Unlock()
-	return k.pagerPolicy
-}
+func (k *Kernel) PagerPolicy() PagerPolicy { return *k.pagerPolicy.Load() }
 
 // pagerCall runs one logical pager conversation under the kernel's policy:
 // an overall deadline spanning bounded retries with exponential backoff.
 // ErrDataUnavailable is definitive and returned as-is; exhaustion of the
 // deadline is classified as ErrPagerTimeout, exhaustion of the retries as
-// ErrPagerFailed wrapping the last cause. The op string labels errors.
-func (k *Kernel) pagerCall(pager Pager, op string, call func(context.Context) ([]byte, error)) ([]byte, error) {
+// ErrPagerFailed wrapping the last cause. The op string labels errors. dc is
+// a zero deadlineCtx for this conversation alone (a read's lives in its flight).
+func (k *Kernel) pagerCall(dc *deadlineCtx, pager Pager, op string, call func(context.Context) ([]byte, error)) ([]byte, error) {
 	pol := k.PagerPolicy()
 	ctx := context.Background()
 	if pol.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, pol.Deadline)
-		defer cancel()
+		dc.deadline = time.Now().Add(pol.Deadline)
+		defer dc.finish()
+		ctx = dc
 	}
 	backoff := pol.BackoffBase
 	for attempt := 0; ; attempt++ {
@@ -193,8 +189,8 @@ func (k *Kernel) pagerCall(pager Pager, op string, call func(context.Context) ([
 }
 
 // pagerRequestData is DataRequest under the kernel policy.
-func (k *Kernel) pagerRequestData(pager Pager, obj *Object, offset uint64, length int) ([]byte, error) {
-	data, err := k.pagerCall(pager, "data_request", func(ctx context.Context) ([]byte, error) {
+func (k *Kernel) pagerRequestData(dc *deadlineCtx, pager Pager, obj *Object, offset uint64, length int) ([]byte, error) {
+	data, err := k.pagerCall(dc, pager, "data_request", func(ctx context.Context) ([]byte, error) {
 		return pager.DataRequest(ctx, obj, offset, length)
 	})
 	k.traceObserve(trace.EvPagerRead, trace.Event{
@@ -206,7 +202,7 @@ func (k *Kernel) pagerRequestData(pager Pager, obj *Object, offset uint64, lengt
 
 // pagerWriteData is DataWrite under the kernel policy.
 func (k *Kernel) pagerWriteData(pager Pager, obj *Object, offset uint64, data []byte) error {
-	_, err := k.pagerCall(pager, "data_write", func(ctx context.Context) ([]byte, error) {
+	_, err := k.pagerCall(new(deadlineCtx), pager, "data_write", func(ctx context.Context) ([]byte, error) {
 		return nil, pager.DataWrite(ctx, obj, offset, data)
 	})
 	k.traceObserve(trace.EvPagerWrite, trace.Event{

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"machvm/internal/vmtypes"
 )
@@ -11,11 +14,11 @@ import (
 // A pagerFlight is one in-flight DataRequest conversation for a contiguous
 // run of pages in one object. Flights are single-flight per page: the
 // first faulter (the leader) allocates the busy anchor page, extends the
-// run around it up to the object's cluster size, registers the flight
-// under every page of the run and issues one conversation for the whole
-// range; every concurrent faulter for any page of the run joins the flight
-// and shares its per-page outcome instead of issuing a duplicate request
-// or paying a fresh deadline of its own.
+// run around it up to the object's cluster size, names the flight in every
+// page of the run (Page.flight) and issues one conversation for the whole
+// range; every concurrent faulter that finds one of those busy pages joins
+// the flight and shares its per-page outcome instead of issuing a duplicate
+// request or paying a fresh deadline of its own.
 //
 // The busy-page claim protocol survives abandonment: the flight, not any
 // particular faulter, owns the pages' busy bits. A faulter whose context
@@ -23,21 +26,69 @@ import (
 // its own deadline, after which each page is either filled (clearing busy)
 // or freed (waking every waiter) — a page can never stay busy forever
 // because the thread that wanted it gave up.
+//
+// A flight is one allocation: the run and its outcomes live in inline arrays
+// (a cluster wider than the default spills to the heap), the deadline
+// contexts are embedded, and the channel waiters park on is made only when
+// somebody parks — a leader that runs the conversation itself never does.
 type pagerFlight struct {
-	// done is closed once every page of the run is resolved.
-	done chan struct{}
 	// isFallback marks a flight already running against the default swap
 	// pager as a degradation, so a failure never re-applies FallbackSwap.
 	isFallback bool
 
 	// The run this flight owns: len(pages) busy absent pages, pages[i]
 	// at object byte offset start + i*pageSize. errs[i] is page i's
-	// outcome, valid only after done is closed: nil (filled and
-	// resident), errClusterSkipped (freed without a definitive answer),
+	// outcome, valid only once resolved: nil (filled and resident),
+	// errClusterSkipped (freed without a definitive answer),
 	// ErrDataUnavailable or a pager error (freed).
-	start uint64
-	pages []*Page
-	errs  []error
+	start   uint64
+	pages   []*Page
+	errs    []error
+	pageBuf [defaultClusterPages]*Page
+	errBuf  [defaultClusterPages]error
+
+	// ctx bounds the clustered conversation, retryCtx the anchor's
+	// single-page retry.
+	ctx, retryCtx deadlineCtx
+
+	// resolved is set, and done (if anybody made it) closed, once every
+	// page of the run is resolved. mu guards done and orders the two.
+	resolved atomic.Bool
+	mu       sync.Mutex
+	done     chan struct{}
+}
+
+// resolve publishes the flight's outcomes to its waiters.
+func (f *pagerFlight) resolve() {
+	f.mu.Lock()
+	f.resolved.Store(true)
+	if f.done != nil {
+		close(f.done)
+	}
+	f.mu.Unlock()
+}
+
+// wait blocks until the flight is resolved or ctx is done, whichever comes
+// first, and reports whether it was the flight.
+func (f *pagerFlight) wait(ctx context.Context) bool {
+	if f.resolved.Load() {
+		return true
+	}
+	f.mu.Lock()
+	if f.done == nil {
+		f.done = make(chan struct{})
+		if f.resolved.Load() {
+			close(f.done)
+		}
+	}
+	done := f.done
+	f.mu.Unlock()
+	select {
+	case <-done:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // errClusterSkipped marks a cluster page the pager's reply did not reach:
@@ -47,49 +98,6 @@ type pagerFlight struct {
 // so progress is guaranteed and a gap in one pager's data is never papered
 // over with zeroes that would hide a backing object's pages.
 var errClusterSkipped = errors.New("pager: cluster page not covered by reply")
-
-// Flight outcomes as seen by a waiter.
-const (
-	flightResident    = iota + 1 // page filled and resident: rewalk and claim it
-	flightUnavailable            // definitive no-data: continue down the chain
-	flightFailed                 // pager failure: apply the object's fallback
-	flightAbandoned              // the caller's context fired first
-	flightSkipped                // not covered by the clustered reply: rewalk
-)
-
-// registerFlight publishes f as the in-flight request for every page of
-// its run. Lock order: flightMu is a leaf (never held while taking a shard
-// or object lock).
-func (k *Kernel) registerFlight(obj *Object, f *pagerFlight) {
-	k.flightMu.Lock()
-	for i := range f.pages {
-		k.flights[pageKey{obj: obj, offset: f.start + uint64(i)*k.pageSize}] = f
-	}
-	k.flightMu.Unlock()
-}
-
-// unregisterFlight removes every key of f's run from the flight table.
-func (k *Kernel) unregisterFlight(obj *Object, f *pagerFlight) {
-	k.flightMu.Lock()
-	for i := range f.pages {
-		delete(k.flights, pageKey{obj: obj, offset: f.start + uint64(i)*k.pageSize})
-	}
-	k.flightMu.Unlock()
-}
-
-// flightFor returns the in-flight request covering key, if any.
-func (k *Kernel) flightFor(key pageKey) *pagerFlight {
-	k.flightMu.Lock()
-	f := k.flights[key]
-	k.flightMu.Unlock()
-	return f
-}
-
-// indexOf translates an object offset into the flight's page index. Only
-// valid for offsets within the run (waiters join through registered keys).
-func (f *pagerFlight) indexOf(offset, pageSize uint64) int {
-	return int((offset - f.start) / pageSize)
-}
 
 // fillPageFrom copies one page's worth of pager data starting at data[lo]
 // into p's hardware frames, zero-filling the tail of a short read.
@@ -117,12 +125,12 @@ func (k *Kernel) fillPageFrom(p *Page, data []byte, lo int) {
 // errClusterSkipped so their waiters re-look-up; the anchor — the page the
 // leading faulter actually needs — is always resolved definitively, with a
 // single-page retry conversation if the clustered reply fell short of it.
-// The flight is unregistered before any page is released, so a faulter can
-// never join a flight whose pages have already moved on.
+// Every page forgets the flight before any page is released, so a faulter
+// can never join a flight whose pages have already moved on.
 func (k *Kernel) runClusterFlight(f *pagerFlight, obj *Object, pager Pager, anchor int) {
 	n := len(f.pages)
 	pgsz := int(k.pageSize)
-	data, err := k.pagerRequestData(pager, obj, f.start, n*pgsz)
+	data, err := k.pagerRequestData(&f.ctx, pager, obj, f.start, n*pgsz)
 	k.stats.PagerRoundTrips.Add(1)
 	switch {
 	case err == nil:
@@ -166,7 +174,7 @@ func (k *Kernel) runClusterFlight(f *pagerFlight, obj *Object, pager Pager, anch
 		// The faulting page itself must leave the flight with a
 		// definitive answer; re-ask for it alone.
 		aoff := f.start + uint64(anchor)*k.pageSize
-		adata, aerr := k.pagerRequestData(pager, obj, aoff, pgsz)
+		adata, aerr := k.pagerRequestData(&f.retryCtx, pager, obj, aoff, pgsz)
 		k.stats.PagerRoundTrips.Add(1)
 		if aerr == nil {
 			k.machine.ChargeKB(k.machine.Cost.CopyPerKB, len(adata))
@@ -177,9 +185,11 @@ func (k *Kernel) runClusterFlight(f *pagerFlight, obj *Object, pager Pager, anch
 		}
 	}
 
-	// Unregister before releasing any page, so no faulter can join a dead
-	// flight, then resolve every page: fill-and-wake or free-and-wake.
-	k.unregisterFlight(obj, f)
+	// Unname the flight before releasing any page, so no faulter can join a
+	// dead flight, then resolve every page: fill-and-wake or free-and-wake.
+	for _, p := range f.pages {
+		p.flight.Store(nil)
+	}
 	obj.mu.Lock()
 	obj.pagingInProgress--
 	obj.mu.Unlock()
@@ -221,81 +231,56 @@ func (k *Kernel) runClusterFlight(f *pagerFlight, obj *Object, pager Pager, anch
 			k.stats.ClusterExtras.Add(uint64(extras))
 		}
 	}
-	close(f.done)
+	f.resolve()
 }
 
-// awaitPageFlight waits for the flight's outcome for the page at offset,
-// or for the caller's context — whichever comes first. An abandoning
-// caller returns an error immediately; the flight continues in the
-// background and resolves its busy pages on its own deadline.
-func (k *Kernel) awaitPageFlight(ctx context.Context, f *pagerFlight, offset uint64) (int, error) {
-	if ctx.Done() != nil {
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			k.stats.PagerAbandons.Add(1)
-			return flightAbandoned, fmt.Errorf("vm_fault: pager wait abandoned: %w", ctx.Err())
-		}
-	} else {
-		<-f.done
-	}
-	err := f.errs[f.indexOf(offset, k.pageSize)]
-	switch {
-	case err == nil:
-		return flightResident, nil
-	case errors.Is(err, errClusterSkipped):
-		return flightSkipped, nil
-	case errors.Is(err, ErrDataUnavailable):
-		return flightUnavailable, nil
-	default:
-		return flightFailed, err
-	}
-}
-
-// resolveFlight waits for f's outcome at offset and applies obj's
-// degradation policy to a failure. It returns pageIn's pair: retry=true
-// means rewalk the chain (the page is resident, or its fate is unknown and
-// the rewalk will settle it); retry=false with no error means "no data
-// here" (continue down the shadow chain without re-asking this level's
-// pager); an error aborts the fault.
+// resolveFlight waits for f's outcome for the page at offset — or for the
+// caller's context, whichever comes first — and applies obj's degradation
+// policy to a failure. It returns pageIn's pair: retry=true means rewalk the
+// chain (the page is resident, or its fate is unknown and the rewalk will
+// settle it); retry=false with no error means "no data here" (continue down
+// the shadow chain without re-asking this level's pager); an error aborts
+// the fault.
 func (k *Kernel) resolveFlight(ctx context.Context, obj *Object, offset uint64, f *pagerFlight) (retry bool, err error) {
-	st, ferr := k.awaitPageFlight(ctx, f, offset)
-	switch st {
-	case flightResident, flightSkipped:
-		return true, nil
-	case flightUnavailable:
-		return false, nil
-	case flightAbandoned:
-		// Caller context fired first: the fault is abandoned outright, no
-		// fallback applies (the flight may yet succeed for others).
-		return false, ferr
+	if !f.wait(ctx) {
+		// The caller's context fired first: the fault is abandoned outright
+		// and no fallback applies; the flight continues in the background
+		// and resolves its busy pages on its own deadline.
+		k.stats.PagerAbandons.Add(1)
+		return false, fmt.Errorf("vm_fault: pager wait abandoned: %w", ctx.Err())
 	}
-	// flightFailed: degrade per the object's policy.
+	ferr := f.errs[(offset-f.start)/k.pageSize] // waiters join through the run's own pages
 	switch fb := obj.PagerFallback(); {
+	case ferr == nil, errors.Is(ferr, errClusterSkipped):
+		return true, nil // resident, or not covered by the clustered reply
+	case errors.Is(ferr, ErrDataUnavailable):
+		return false, nil
+	// A pager failure: degrade per the object's policy.
 	case fb == FallbackZeroFill:
 		k.stats.PagerFallbacks.Add(1)
 		return false, nil
 	case fb == FallbackSwap && !f.isFallback:
+		// Ask the default pager instead: marked as a fallback so a swap
+		// failure surfaces instead of recursing, and single-page.
 		k.stats.PagerFallbacks.Add(1)
-		return k.pageInFallback(ctx, obj, offset)
+		return k.pageInWith(ctx, obj, offset, k.swap, true, offset, offset+k.pageSize)
 	default:
 		return false, ferr
 	}
 }
 
 // claimPageOrFlight looks up the resident page for (obj, offset) and
-// busy-claims it. When the page is busy it first consults the flight
-// table: a page owned by an in-flight pager request is joined (the flight
-// is returned) rather than waited on, so a failure is delivered to every
-// waiter at once. Other busy pages (pageout, clean, copy) are waited for
-// on the per-key channel as before. Returns (nil, nil) when no page is
-// resident.
+// busy-claims it. A busy page that names a flight is owned by an in-flight
+// pager request, which is joined (the flight is returned) rather than
+// waited on, so a failure is delivered to every waiter at once. Other busy
+// pages (pageout, clean, copy) are waited for on the per-key channel.
+// Returns (nil, nil) when no page is resident.
 func (k *Kernel) claimPageOrFlight(obj *Object, offset uint64) (*Page, *pagerFlight) {
-	s := k.shardFor(obj, offset)
-	key := pageKey{obj: obj, offset: offset}
+	h := pageHash(obj, offset)
+	s := k.shardOf(h)
 	s.mu.Lock()
 	for {
-		p := s.pages[key]
+		p := s.lookup(h, obj, offset)
 		if p == nil {
 			s.mu.Unlock()
 			return nil, nil
@@ -305,17 +290,13 @@ func (k *Kernel) claimPageOrFlight(obj *Object, offset uint64) (*Page, *pagerFli
 			s.mu.Unlock()
 			return p, nil
 		}
-		s.mu.Unlock()
-		if f := k.flightFor(key); f != nil {
+		if f := p.flight.Load(); f != nil {
+			s.mu.Unlock()
 			k.stats.PagerFlightJoins.Add(1)
 			return nil, f
 		}
-		s.mu.Lock()
-		if p2 := s.pages[key]; p2 != p || !p.busy {
-			continue // the page moved on while we checked the flights
-		}
 		k.stats.BusyWaits.Add(1)
-		ch := s.waitChan(key)
+		ch := s.waitChan(pageKey{obj: obj, offset: offset})
 		s.mu.Unlock()
 		<-ch
 		s.mu.Lock()
@@ -324,21 +305,14 @@ func (k *Kernel) claimPageOrFlight(obj *Object, offset uint64) (*Page, *pagerFli
 
 // pageIn asks the object's pager for the page at offset — and, when the
 // object's cluster size allows, for an aligned run of neighbors around it
-// in the same conversation — through a registered single-flight bounded by
-// the kernel's PagerPolicy. [winLo, winHi) is the map entry's window in
+// in the same conversation — through a single-flight bounded by the
+// kernel's PagerPolicy. [winLo, winHi) is the map entry's window in
 // obj's byte coordinates; the cluster never reads past it. Returns as
 // resolveFlight does: retry=true means rewalk the chain; retry=false with
 // no error means the pager has no data (or degradation chose zero-fill)
 // and the caller continues down the chain.
 func (k *Kernel) pageIn(ctx context.Context, obj *Object, offset uint64, pager Pager, winLo, winHi uint64) (retry bool, err error) {
 	return k.pageInWith(ctx, obj, offset, pager, pager == k.swap, winLo, winHi)
-}
-
-// pageInFallback is the FallbackSwap degradation read: ask the default
-// pager for the data instead. Marked as a fallback so a swap failure
-// surfaces instead of recursing; a degraded read stays single-page.
-func (k *Kernel) pageInFallback(ctx context.Context, obj *Object, offset uint64) (retry bool, err error) {
-	return k.pageInWith(ctx, obj, offset, k.swap, true, offset, offset+k.pageSize)
 }
 
 // clusterBounds computes the aligned cluster window around a faulting
@@ -402,34 +376,29 @@ func (k *Kernel) pageInWith(ctx context.Context, obj *Object, offset uint64, pag
 	// Best-effort: the run stops at an already-resident neighbor, at an
 	// allocation failure, or when free memory is too tight for readahead.
 	lo, hi := k.clusterBounds(obj, pager, offset, winLo, winHi)
-	var below, above []*Page
-	for o := offset; o > lo && k.clusterAllocOK(); o -= k.pageSize {
-		q, qfresh, qerr := k.allocPage(obj, o-k.pageSize)
-		if qerr != nil || !qfresh {
-			break
+	f := &pagerFlight{isFallback: isFallback}
+	f.pages = f.pageBuf[:0]
+	claim := func(o uint64) bool {
+		if !k.clusterAllocOK() {
+			return false
+		}
+		q, fresh, err := k.allocPage(obj, o)
+		if err != nil || !fresh {
+			return false
 		}
 		q.absent = true
-		below = append(below, q) // nearest first
+		f.pages = append(f.pages, q)
+		return true
 	}
-	for o := offset + k.pageSize; o < hi && k.clusterAllocOK(); o += k.pageSize {
-		q, qfresh, qerr := k.allocPage(obj, o)
-		if qerr != nil || !qfresh {
-			break
-		}
-		q.absent = true
-		above = append(above, q)
+	for o := offset; o > lo && claim(o-k.pageSize); o -= k.pageSize {
 	}
-
-	f := &pagerFlight{done: make(chan struct{}), isFallback: isFallback}
-	f.start = offset - uint64(len(below))*k.pageSize
-	f.pages = make([]*Page, 0, len(below)+1+len(above))
-	for i := len(below) - 1; i >= 0; i-- {
-		f.pages = append(f.pages, below[i])
-	}
+	slices.Reverse(f.pages) // claimed nearest first
+	anchor := len(f.pages)
+	f.start = offset - uint64(anchor)*k.pageSize
 	f.pages = append(f.pages, p)
-	f.pages = append(f.pages, above...)
-	f.errs = make([]error, len(f.pages))
-	anchor := len(below)
+	for o := offset + k.pageSize; o < hi && claim(o); o += k.pageSize {
+	}
+	f.errs = append(f.errBuf[:0], make([]error, len(f.pages))...)
 
 	// The pager conversation happens with no locks held; raising
 	// pagingInProgress keeps the object from being collapsed or torn down
@@ -438,7 +407,9 @@ func (k *Kernel) pageInWith(ctx context.Context, obj *Object, offset uint64, pag
 	obj.pagingInProgress++
 	obj.mu.Unlock()
 
-	k.registerFlight(obj, f)
+	for _, q := range f.pages {
+		q.flight.Store(f)
+	}
 	if ctx.Done() == nil {
 		// The caller cannot be cancelled, so waiting for the flight is
 		// the same as running it: skip the goroutine handoff. The

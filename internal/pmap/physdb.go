@@ -42,6 +42,10 @@ type frameState struct {
 type PhysDB struct {
 	frames []frameState
 	locks  []sync.Mutex // by pfn >> pvBlockShift
+	// mapped counts each block's pv entries, changed under the block's
+	// lock and read without it: most frames RemoveAll visits are mapped
+	// nowhere, and AppendPVs skips the lock of a block that holds nothing.
+	mapped []atomic.Int32
 }
 
 // NewPhysDB creates a database covering nframes hardware frames.
@@ -49,6 +53,7 @@ func NewPhysDB(nframes int) *PhysDB {
 	db := &PhysDB{
 		frames: make([]frameState, nframes),
 		locks:  make([]sync.Mutex, nframes>>pvBlockShift+1),
+		mapped: make([]atomic.Int32, nframes>>pvBlockShift+1),
 	}
 	for i := range db.frames {
 		fs := &db.frames[i]
@@ -71,6 +76,7 @@ func (db *PhysDB) addLocked(pfn vmtypes.PFN, m Map, va vmtypes.VA) {
 		}
 	}
 	fs.pvs = append(fs.pvs, PV{Map: m, VA: va})
+	db.mapped[pfn>>pvBlockShift].Add(1)
 }
 
 // removeLocked forgets (m, va) against pfn.
@@ -80,6 +86,7 @@ func (db *PhysDB) removeLocked(pfn vmtypes.PFN, m Map, va vmtypes.VA) {
 		if pv.Map == m && pv.VA == va {
 			fs.pvs[i] = fs.pvs[len(fs.pvs)-1]
 			fs.pvs = fs.pvs[:len(fs.pvs)-1]
+			db.mapped[pfn>>pvBlockShift].Add(-1)
 			return
 		}
 	}
@@ -123,7 +130,7 @@ func (db *PhysDB) RemovePV(pfn vmtypes.PFN, m Map, va vmtypes.VA) {
 // while the list itself changes (RemoveAll edits it). A caller passing an
 // on-stack buffer allocates only for a frame shared more widely than that.
 func (db *PhysDB) AppendPVs(buf []PV, pfn vmtypes.PFN) []PV {
-	if db.valid(pfn) {
+	if db.valid(pfn) && db.mapped[pfn>>pvBlockShift].Load() != 0 {
 		mu := db.lockOf(pfn)
 		mu.Lock()
 		buf = append(buf, db.frames[pfn].pvs...)

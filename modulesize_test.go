@@ -65,10 +65,10 @@ func TestPmapModuleSize(t *testing.T) {
 }
 
 // maxNonTestLines is the budget for all non-test Go outside bench/: the
-// count when it was last lowered, rounded up to the next 50. ROADMAP
+// count when it last moved, rounded up to the next 50. ROADMAP
 // north-star 2 says the trend is down; a PR that deletes code lowers the
 // constant, and one that must raise it says what the new lines buy.
-const maxNonTestLines = 18450
+const maxNonTestLines = 18550
 
 func TestNonTestLineBudget(t *testing.T) {
 	total := 0
